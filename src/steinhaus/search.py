@@ -1,17 +1,21 @@
 """Exhaustive search for balanced sequences, plus existence probes.
 
-The search is the ground truth the constructions are checked against, so it
-stays deliberately simple: every candidate is enumerated and tallied, and
-nothing is pruned across candidates.  Within one candidate the tally exits
-early (see balanced_terms).  The candidate space splits by fixed prefixes
-into blocks that workers scan independently; blocks are merged in
-lexicographic order, so the report is identical for any worker count.
+The search is the ground truth the constructions are checked against.  It
+walks the sequences of one length depth first, one term at a time, and keeps
+the residue counts of the prefix's triangle as it goes: appending a term adds
+one right-edge diagonal, so each node tallies that diagonal alone.  A prefix
+whose counts already pass m(m+1)/(2n) for some residue cannot be completed to
+a balanced sequence, and the subtree below it is skipped.  The candidate
+space splits by fixed prefixes into blocks that workers scan independently;
+blocks are merged in lexicographic order, so the report is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -48,67 +52,160 @@ class SearchReport:
     states_examined: int
 
 
-def _scan_block(n: int, m: int, prefix, count_only: bool):
-    """Check every length-m sequence starting with `prefix`.
+def _within_budget(n: int, m: int, max_states: int) -> bool:
+    """Whether n**m <= max_states.
 
-    The suffix runs through an odometer in lexicographic order.  Candidates
-    live in one mutable list; only the rare balanced ones are copied out.
+    A length that clearly overshoots, by more than one bit of m*log2(n), is
+    turned down without building n**m, which for a huge m would take minutes
+    and gigabytes; only near the boundary are the integers compared.
     """
+    if n > 1 and (
+        m > max_states.bit_length() or m * math.log2(n) > math.log2(max_states) + 1
+    ):
+        return False
+    return n**m <= max_states
+
+
+def _pool_size(workers: int, blocks: int) -> int:
+    """Processes worth starting: no more than asked for, CPUs, or blocks."""
+    return min(workers, os.cpu_count() or 1, blocks)
+
+
+def _children(n: int, length: int, target: int, diagonal: list[int], counts: list[int]):
+    """The children of a prefix that stay within target, last term first.
+
+    Appending x to a prefix whose right-edge diagonal is p_1..p_k adds the
+    diagonal d_1 = x, d_i = p_{i-1} + d_{i-1} to its triangle.  Returns
+    (length, x, that diagonal, the counts it leaves) for each x, in
+    decreasing order, that pushes no residue count past target.
+    """
+    children = []
+    for x in range(n - 1, -1, -1):
+        if counts[x] == target:
+            continue
+        child = counts.copy()
+        child[x] += 1
+        extended = [x]
+        d = x
+        for p in diagonal:
+            d = (p + d) % n
+            c = child[d] + 1
+            if c > target:
+                break
+            child[d] = c
+            extended.append(d)
+        else:
+            children.append((length, x, extended, child))
+    return children
+
+
+def _last_terms(n: int, target: int, diagonal: list[int], counts: list[int]) -> list[int]:
+    """The terms x that complete a prefix of length m - 1 to a balanced sequence.
+
+    The last diagonal is x + (s_0, ..., s_{m-1}), where s_j sums the first j
+    entries of this one, so its residue counts are those of x = 0 shifted by
+    x.  Term x completes the prefix when they fill exactly the residues still
+    short of target.
+    """
+    short = [target - c for c in counts]
+    last = [0] * n
+    last[0] = 1
+    s = 0
+    for p in diagonal:
+        s = (s + p) % n
+        last[s] += 1
+    return [x for x in range(n) if short[x:] + short[:x] == last]
+
+
+def _scan_block(n: int, m: int, prefix, count_only: bool):
+    """Find the balanced length-m sequences that start with `prefix`.
+
+    Depth-first search over the suffix, terms tried in increasing order, so
+    hits come out in lexicographic order.  Each node carries the right-edge
+    diagonal and the residue counts of its prefix's triangle; a child whose
+    diagonal pushes a count past target = m(m+1)/(2n) is pruned with its
+    whole subtree (see _children).  When m is admissible the counts of a full
+    sequence sum to n * target, so one whose counts all stay within target is
+    balanced; when m is not, none does.  The nodes wait on an explicit stack,
+    so the length is not bounded by the recursion limit.
+    """
+    target = m * (m + 1) // (2 * n)
+    counts = [0] * n
+    diagonal: list[int] = []
+    for x in prefix:
+        diagonal = list(itertools.accumulate(diagonal, lambda d, p: (d + p) % n, initial=x))
+        for d in diagonal:
+            counts[d] += 1
+    if max(counts) > target:
+        return [], 0
     k = len(prefix)
+    if k == m:
+        return ([] if count_only else [tuple(prefix)]), 1
     terms = list(prefix) + [0] * (m - k)
     found = []
     count = 0
-    while True:
-        if balanced_terms(terms, n):
-            count += 1
-            if not count_only:
+    # Prefixes still to visit, as (length, last term, diagonal, counts).  Each
+    # node's children are pushed in decreasing order, so the next one popped
+    # extends a prefix that terms[:length - 1] still holds.  An empty prefix
+    # has no last term; its entry writes the slot each hit sets anyway.
+    pending = [(k, prefix[-1] if k else 0, diagonal, counts)]
+    while pending:
+        length, x, diagonal, counts = pending.pop()
+        terms[length - 1] = x
+        if length < m - 1:
+            pending.extend(_children(n, length + 1, target, diagonal, counts))
+            continue
+        hits = _last_terms(n, target, diagonal, counts)
+        count += len(hits)
+        if not count_only:
+            for x in hits:
+                terms[-1] = x
                 found.append(tuple(terms))
-        j = m - 1
-        while j >= k and terms[j] == n - 1:
-            terms[j] = 0
-            j -= 1
-        if j < k:
-            return found, count
-        terms[j] += 1
+    return found, count
 
 
 def brute_force_balanced(
     n: int, m: int, budget: SearchBudget | None = None, count_only: bool = False
 ) -> SearchReport:
-    """Enumerate all n^m sequences of length m and report the balanced ones.
+    """Report the balanced sequences among all n^m sequences of length m.
 
     Raises BudgetExceeded before any work if n^m exceeds budget.max_states.
-    found is sorted lexicographically and is empty in count_only mode.
+    The search is depth first and prunes every prefix whose triangle already
+    holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
+    length that is not admissible has no balanced sequence and is answered
+    at once.  states_examined is n^m, the size of the space covered, however
+    much of it was pruned.  found is sorted lexicographically and is empty in
+    count_only mode.
     """
     if n < 1 or m < 1:
         raise ValueError("modulus and length must be positive")
     if budget is None:
         budget = SearchBudget()
+    if not _within_budget(n, m, budget.max_states):
+        raise BudgetExceeded(f"{n}^{m} states exceed the budget of {budget.max_states}")
     states = n**m
-    if states > budget.max_states:
-        raise BudgetExceeded(
-            f"{n}^{m} = {states} states exceed the budget of {budget.max_states}"
-        )
+    if not is_admissible(n, m):
+        return SearchReport(n, m, (), 0, states)
+    workers = _pool_size(budget.workers, states)
     # Prefix length just large enough that there is at least one block per
     # worker; every block is then a contiguous lexicographic range.
     k = 0
-    if budget.workers > 1 and n > 1:
-        while n**k < budget.workers:
-            k += 1
-        k = min(k, m)
+    while n**k < workers:
+        k += 1
     prefixes = list(itertools.product(range(n), repeat=k))
     scan = partial(_scan_block, n, m, count_only=count_only)
-    if budget.workers == 1 or len(prefixes) < 2:
+    if workers == 1:
         blocks = [scan(p) for p in prefixes]
     else:
-        with ProcessPoolExecutor(max_workers=budget.workers) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
     found: list[tuple[int, ...]] = []
     count = 0
     for block_found, block_count in blocks:
         found.extend(block_found)
         count += block_count
-    found.sort()  # already in block order; kept as a determinism backstop
     return SearchReport(n, m, tuple(Sequence(n, t) for t in found), count, states)
 
 
@@ -154,7 +251,7 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
                 return True
             except UnsupportedLength:
                 continue
-    if n**m <= budget.max_states:
+    if _within_budget(n, m, budget.max_states):
         report = brute_force_balanced(n, m, budget, count_only=True)
         return report.count > 0
     raise BudgetExceeded(

@@ -1,6 +1,7 @@
 """Tests for the command line interface: output formats and exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -224,13 +225,32 @@ def test_module_entry_point():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "3", "--m", "1000000000"],
+        ["probe", "--n", "4", "--m", "1000000000"],
+    ],
+)
+def test_huge_length_fails_fast(argv):
+    # n**m here has over a billion bits; the budget must turn it down unbuilt.
+    proc = subprocess.run(
+        [sys.executable, "-m", "steinhaus.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "BudgetExceeded" in proc.stderr
+
+
 def test_installed_console_script():
+    if shutil.which("steinhaus") is None:
+        pytest.skip("console script not on PATH")
     proc = subprocess.run(
         ["steinhaus", "balanced", "--n", "5", "--seq", "2,2,3,3", "--format", "json"],
         capture_output=True,
         text=True,
     )
-    if proc.returncode != 0 and "No such file" in proc.stderr:
-        pytest.skip("console script not on PATH")
     assert proc.returncode == 0
     assert proc.stdout == '{"n":5,"m":4,"balanced":true,"multiplicities":[2,2,2,2,2]}\n'

@@ -1,6 +1,11 @@
 """Tests for exhaustive search, even-modulus classification, and probing."""
 
+import os
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from search_oracle import odometer_block, odometer_report
 
 from steinhaus import (
     BudgetExceeded,
@@ -13,6 +18,7 @@ from steinhaus import (
     is_balanced,
     molluzzo_probe,
 )
+from steinhaus.search import _pool_size, _scan_block, _within_budget
 
 
 def seqs(n, rows):
@@ -44,6 +50,9 @@ def test_brute_force_no_hits():
     assert report.found == ()
     assert report.count == 0
     assert report.states_examined == 4
+    # a length that is not admissible is answered without walking 2^26 states
+    report = brute_force_balanced(2, 26, budget=SearchBudget(max_states=2**26))
+    assert report == SearchReport(2, 26, (), 0, 2**26)
 
 
 def test_brute_force_quaternary_length_four():
@@ -73,6 +82,9 @@ def test_brute_force_trivial_modulus():
     report = brute_force_balanced(1, 5)
     assert report.found == (Sequence(1, (0, 0, 0, 0, 0)),)
     assert report.states_examined == 1
+    # one search node per term, far deeper than the recursion limit
+    report = brute_force_balanced(1, 1500, count_only=True)
+    assert report == SearchReport(1, 1500, (), 1, 1)
 
 
 def test_brute_force_budget():
@@ -81,6 +93,22 @@ def test_brute_force_budget():
     # the boundary itself is allowed
     report = brute_force_balanced(2, 4, budget=SearchBudget(max_states=16))
     assert report.count == 6
+
+
+def test_budget_boundary_is_exact():
+    for n in range(2, 12):
+        for m in range(1, 40):
+            assert _within_budget(n, m, n**m)
+            assert not _within_budget(n, m, n**m - 1)
+    big = 10**400
+    assert _within_budget(10, 400, big)
+    assert not _within_budget(10, 401, big)
+    assert _within_budget(1, 10**400, 1)
+    # lengths far past the budget are refused without building n**m, even
+    # where m*log2(n) would not fit in a float
+    assert not _within_budget(3, 10**9, 10**8)
+    assert not _within_budget(2, 10**400, 10**8)
+    assert not _within_budget(10**300, 30, big)
 
 
 def test_brute_force_count_only():
@@ -101,6 +129,66 @@ def test_more_workers_than_prefixes():
     serial = brute_force_balanced(2, 3)
     parallel = brute_force_balanced(2, 3, budget=SearchBudget(workers=16))
     assert parallel == serial
+
+
+def test_pool_size_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert _pool_size(1, 10**6) == 1
+    assert _pool_size(100000, 10**6) == cpus
+    assert _pool_size(100000, 1) == 1
+    assert _pool_size(10**18, 10**18) == cpus
+
+
+def test_pool_size_follows_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(100000, 10**6) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _pool_size(100000, 10**6) == 64
+    assert _pool_size(100000, 9) == 9
+    assert _pool_size(3, 9) == 3
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_search_matches_odometer_exhaustively(n):
+    # every m with n^m <= 5 * 10^4; n = 1 has a single state at every length
+    for m in range(1, 13):
+        if n**m > 5 * 10**4:
+            break
+        listing = odometer_report(n, m)
+        counting = SearchReport(n, m, (), listing.count, listing.states_examined)
+        for workers in (1, 2):
+            budget = SearchBudget(workers=workers)
+            assert brute_force_balanced(n, m, budget) == listing, (n, m, workers)
+            assert brute_force_balanced(n, m, budget, count_only=True) == counting
+
+
+@st.composite
+def search_blocks(draw):
+    """(n, m, prefix) with at most a few thousand suffixes after the prefix."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 12))
+    free = 0
+    while free < m and n ** (free + 1) <= 3000:
+        free += 1
+    k = draw(st.integers(m - free, m))
+    if draw(st.booleans()):
+        # a constant prefix piles one residue up fast, often past the target
+        prefix = (draw(st.integers(0, n - 1)),) * k
+    else:
+        prefix = tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+    return n, m, prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_blocks())
+@example((2, 8, (0,) * 6))  # 21 zeros against a target of 18
+@example((3, 8, (0,) * 5))  # 15 zeros against a target of 12
+@example((2, 3, (1, 1, 1)))  # the whole sequence as prefix, balanced
+@example((4, 7, (3, 1, 2, 0, 3, 2, 1)))  # the whole sequence, unbalanced
+def test_scan_block_matches_odometer(case):
+    n, m, prefix = case
+    for count_only in (False, True):
+        assert _scan_block(n, m, prefix, count_only) == odometer_block(n, m, prefix, count_only)
 
 
 def test_brute_force_matches_direct_filter():
