@@ -30,7 +30,6 @@ from .sequences import (
     Triangle,
     derive,
     derive_iterated,
-    is_balanced,
     multiplicities,
     triangle,
 )
@@ -83,8 +82,8 @@ def _cmd_derive(args):
 
 def _cmd_balanced(args):
     seq = Sequence.from_text(args.n, args.seq)
-    ok = is_balanced(seq)
     mv = multiplicities(seq)
+    ok = mv.is_constant()
     payload = {
         "n": seq.modulus,
         "m": len(seq),

@@ -117,13 +117,16 @@ class MultiplicityVector:
         return len(set(self.counts)) == 1
 
 
+def _next_row(row, n: int) -> tuple[int, ...]:
+    """The row below `row` in a triangle mod n; every row here comes from it."""
+    return tuple([(a + b) % n for a, b in zip(row, row[1:])])
+
+
 def derive(seq: Sequence) -> Sequence:
     """One derivation step: the sums of adjacent pairs, reduced mod n."""
-    t = seq.terms
-    if len(t) < 2:
+    if len(seq.terms) < 2:
         raise LengthTooShort("derivation needs at least two terms")
-    n = seq.modulus
-    return Sequence(n, tuple((t[k] + t[k + 1]) % n for k in range(len(t) - 1)))
+    return Sequence(seq.modulus, _next_row(seq.terms, seq.modulus))
 
 
 def binomial_row(i: int, n: int) -> list[int]:
@@ -164,20 +167,33 @@ def derive_iterated(seq: Sequence, i: int) -> Sequence:
     return Sequence(n, tuple(out))
 
 
-def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
-    """Yield the triangle rows as plain tuples without keeping them all."""
-    n = seq.modulus
-    row = seq.terms
+def _rows(row, n: int) -> Iterator[tuple[int, ...]]:
     yield row
     while len(row) > 1:
-        row = tuple((row[k] + row[k + 1]) % n for k in range(len(row) - 1))
+        row = _next_row(row, n)
         yield row
+
+
+def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
+    """Yield the triangle rows as plain tuples without keeping them all."""
+    return _rows(seq.terms, seq.modulus)
 
 
 def triangle(seq: Sequence) -> Triangle:
     """Materialize the full triangle generated by `seq`."""
     n = seq.modulus
     return Triangle(tuple(Sequence(n, row) for row in triangle_rows(seq)))
+
+
+def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
+    """Residue counts over the entries of `rows`, or None once one passes `cap`."""
+    counts = [0] * n
+    for row in rows:
+        for v in row:
+            counts[v] += 1
+        if cap is not None and max(counts) > cap:
+            return None
+    return counts
 
 
 def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
@@ -187,43 +203,26 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     discarded so memory stays O(m + n), or an already materialized Triangle.
     """
     if isinstance(obj, Triangle):
-        n = obj.modulus
         rows = (row.terms for row in obj.rows)
     else:
-        n = obj.modulus
         rows = triangle_rows(obj)
-    counts = [0] * n
-    for row in rows:
-        for v in row:
-            counts[v] += 1
-    return MultiplicityVector(n, tuple(counts))
+    return MultiplicityVector(obj.modulus, tuple(_tally(rows, obj.modulus)))
 
 
 def balanced_terms(terms, n: int) -> bool:
     """Balance check on a plain list of residues, with an early exit.
 
-    The tally only grows, so one count passing total/n settles the answer;
-    if none ever does, the counts sum to n * (total/n) with every count at
-    most total/n, hence all equal.  The search module leans on this loop,
-    so it stays free of Sequence construction.
+    The walk stops once a count passes total/n.  If none ever does, the
+    counts sum to n * (total/n) with each at most total/n, so all are equal.
+    Its callers are `is_balanced`, `classify_even_progressions` and the test
+    oracle; the last two pass many short plain lists, which skip Sequence
+    validation this way.
     """
     m = len(terms)
     total = m * (m + 1) // 2
     if total % n:
         return False
-    target = total // n
-    counts = [0] * n
-    row = terms
-    while True:
-        for v in row:
-            c = counts[v] + 1
-            if c > target:
-                return False
-            counts[v] = c
-        k = len(row)
-        if k <= 1:
-            return True
-        row = [(row[j] + row[j + 1]) % n for j in range(k - 1)]
+    return _tally(_rows(terms, n), n, cap=total // n) is not None
 
 
 def is_balanced(seq: Sequence) -> bool:

@@ -1,6 +1,8 @@
 """Unit and property tests for sequences, triangles, and balance."""
 
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,34 @@ def test_balance_agrees_with_full_count(seq):
     assert balanced_terms(list(seq.terms), seq.modulus) == is_balanced(seq)
 
 
+def closed_form_counts(seq):
+    # shares neither the row kernel nor the tally with the library: rows come
+    # from the binomial closed form and collections.Counter counts them
+    tally = Counter()
+    for i in range(len(seq)):
+        tally.update(derive_iterated(seq, i).terms)
+    return tuple(tally[r] for r in range(seq.modulus))
+
+
+def check_tally_against_closed_form(seq):
+    expected = closed_form_counts(seq)
+    assert multiplicities(seq).counts == expected
+    assert multiplicities(triangle(seq)).counts == expected
+    assert balanced_terms(list(seq.terms), seq.modulus) == (len(set(expected)) == 1)
+
+
+def test_tally_matches_closed_form_exhaustive():
+    for n in range(1, 5):
+        for m in range(1, 7):
+            for terms in itertools.product(range(n), repeat=m):
+                check_tally_against_closed_form(Sequence(n, terms))
+
+
+@given(sequences())
+def test_tally_matches_closed_form(seq):
+    check_tally_against_closed_form(seq)
+
+
 @given(sequences())
 def test_balanced_implies_admissible_length(seq):
     m = len(seq)
@@ -241,8 +271,6 @@ def test_antisymmetry_propagates_downward(seq):
 
 def test_antisymmetry_characterization_exhaustive():
     # X antisymmetric iff derive(X) antisymmetric and the middle pair sums to 0
-    import itertools
-
     for n in (2, 3, 4, 5):
         for m in (2, 3, 4):
             for terms in itertools.product(range(n), repeat=m):
