@@ -4,7 +4,8 @@ One subcommand per library area: triangle, derive, balanced, alpha, beta,
 admissible, construct, search, classify-even, probe.  Output goes to stdout
 as text (default) or JSON (--format json); JSON field names are stable for
 scripting.  Exit status: 0 on success, 1 on usage errors, 2 on domain
-errors, whose class name appears in the diagnostic.
+errors, whose class name appears in the diagnostic, and 3 on internal
+errors, with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from .admissible import admissible_classes
 from .errors import SteinhausError
 from .orders import alpha, beta
-from .progressions import construct_balanced
+from .progressions import _construction
 from .search import (
     DEFAULT_MAX_STATES,
     SearchBudget,
@@ -118,10 +119,9 @@ def _cmd_admissible(args):
 
 
 def _cmd_construct(args):
-    seq = construct_balanced(
-        args.n, args.m, step=args.d, family=args.family, start=args.a
-    )
-    mv = multiplicities(seq)
+    ap = _construction(args.n, args.m, args.d, args.family, args.a)
+    seq = ap.to_sequence()
+    mv = ap.multiplicities()
     payload = {
         "n": args.n,
         "m": args.m,
@@ -250,6 +250,11 @@ def run(argv=None) -> int:
     except SteinhausError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only needed on this path; keeps start-up lean
+
+        traceback.print_exc()
+        return 3
     if args.format == "json":
         print(json.dumps(payload, separators=(",", ":")))
     else:

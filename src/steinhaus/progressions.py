@@ -1,7 +1,7 @@
 """Arithmetic progressions mod n and the balanced triangles they generate.
 
 Derivation sends a progression to a progression, so a progression's whole
-triangle has closed forms for its rows and entries.  When the step is a
+triangle has closed forms for its rows, its entries and its residue counts.  When the step is a
 unit mod odd n, suitable lengths (multiples of beta(n)*n or alpha(n)*n, or
 one less) make the triangle balanced.
 """
@@ -13,7 +13,34 @@ from math import gcd
 
 from .errors import EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength
 from .orders import alpha, beta
-from .sequences import Sequence
+from .sequences import MultiplicityVector, Sequence
+
+
+def _progression_tally(
+    n: int, a: int, d: int, m: int, cap: int | None = None
+) -> list[int] | None:
+    """Residue counts over the triangle of AP(a, d, m), or None once one passes `cap`.
+
+    Row by row: AP(a, d, L) derives to AP(2a + d, 2d, L - 1).  A row of
+    length L runs through the coset a + gZ, g = gcd(d, n), with period
+    p = n/g, so with q, r = divmod(L, p) each residue of the coset occurs q
+    times, and the first r terms a, a + d, ... once more.  O(n) per row.
+    """
+    counts = [0] * n
+    for length in range(m, 0, -1):
+        g = gcd(d, n)
+        q, r = divmod(length, n // g)
+        if q:
+            coset = slice(a % g, n, g)
+            counts[coset] = [c + q for c in counts[coset]]
+        x = a
+        for _ in range(r):
+            counts[x] += 1
+            x = (x + d) % n
+        if cap is not None and max(counts) > cap:
+            return None
+        a, d = (2 * a + d) % n, 2 * d % n
+    return counts
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +94,20 @@ class ArithmeticProgression:
             return (a + (j - 1) * d) % n
         return (pow(2, i - 1, n) * a + pow(2, i - 2, n) * ((2 * j + i - 3) % n) * d) % n
 
+    def multiplicities(self) -> MultiplicityVector:
+        """Residue counts over the whole triangle, in O(m*n) without its entries."""
+        n = self.modulus
+        counts = _progression_tally(n, self.start, self.step, self.length)
+        return MultiplicityVector(n, tuple(counts))
+
+    def is_balanced(self) -> bool:
+        """Whether the triangle is balanced; stops once a count passes total/n."""
+        n, m = self.modulus, self.length
+        total = m * (m + 1) // 2
+        if total % n:
+            return False
+        return _progression_tally(n, self.start, self.step, m, cap=total // n) is not None
+
 
 def primitive_progression(ap: ArithmeticProgression) -> ArithmeticProgression:
     """The unique progression whose derived sequence is `ap` (odd modulus).
@@ -110,6 +151,13 @@ def construct_balanced(
     that this construction does not apply, not that no balanced sequence of
     that length exists.
     """
+    return _construction(n, m, step, family, start).to_sequence()
+
+
+def _construction(
+    n: int, m: int, step: int, family: str, start: int | None
+) -> ArithmeticProgression:
+    """The progression behind `construct_balanced`, with the same checks."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n % 2 == 0:
@@ -125,20 +173,13 @@ def construct_balanced(
         span = beta(n) * n
         inv2 = (n + 1) // 2
         if m % span == 0:
-            ap = ArithmeticProgression(n, inv2 * step % n, step, m)
-        elif (m + 1) % span == 0:
-            ap = ArithmeticProgression(n, step, step, m)
-        else:
-            raise UnsupportedLength(
-                f"beta family needs m = 0 or -1 mod {span}, got m = {m}"
-            )
-    elif family == "alpha":
+            return ArithmeticProgression(n, inv2 * step % n, step, m)
+        if (m + 1) % span == 0:
+            return ArithmeticProgression(n, step, step, m)
+        raise UnsupportedLength(f"beta family needs m = 0 or -1 mod {span}, got m = {m}")
+    if family == "alpha":
         span = alpha(n) * n
         if m % span != 0 and (m + 1) % span != 0:
-            raise UnsupportedLength(
-                f"alpha family needs m = 0 or -1 mod {span}, got m = {m}"
-            )
-        ap = ArithmeticProgression(n, 0 if start is None else start % n, step, m)
-    else:
-        raise ValueError(f"unknown family {family!r}, expected 'beta' or 'alpha'")
-    return ap.to_sequence()
+            raise UnsupportedLength(f"alpha family needs m = 0 or -1 mod {span}, got m = {m}")
+        return ArithmeticProgression(n, 0 if start is None else start % n, step, m)
+    raise ValueError(f"unknown family {family!r}, expected 'beta' or 'alpha'")

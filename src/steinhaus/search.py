@@ -22,7 +22,7 @@ from functools import partial
 from .admissible import is_admissible
 from .errors import BudgetExceeded, UnsupportedLength
 from .progressions import ArithmeticProgression, construct_balanced
-from .sequences import Sequence, balanced_terms
+from .sequences import Sequence
 
 DEFAULT_MAX_STATES = 10**8
 
@@ -213,7 +213,8 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
     """All progressions mod even n, up to max_length, with balanced triangles.
 
     Scans every (start, step, length) triple; non-admissible lengths are
-    rejected without expanding the progression.
+    skipped, and the rest are counted in closed form, row by row, without
+    expanding the progression.
     """
     if n < 2 or n % 2:
         raise ValueError(f"classification applies to even moduli, got {n}")
@@ -225,9 +226,9 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
             continue
         for a in range(n):
             for d in range(n):
-                terms = [(a + j * d) % n for j in range(m)]
-                if balanced_terms(terms, n):
-                    hits.append(ArithmeticProgression(n, a, d, m))
+                ap = ArithmeticProgression(n, a, d, m)
+                if ap.is_balanced():
+                    hits.append(ap)
     return hits
 
 

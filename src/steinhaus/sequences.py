@@ -214,10 +214,11 @@ def balanced_terms(terms, n: int) -> bool:
 
     The walk stops once a count passes total/n.  If none ever does, the
     counts sum to n * (total/n) with each at most total/n, so all are equal.
-    Its callers are `is_balanced`, `classify_even_progressions` and the test
-    oracle; the last two pass many short plain lists, which skip Sequence
-    validation this way.
+    Its callers are `is_balanced` and the test oracle of the search.
     """
+    for t in terms:
+        if not 0 <= t < n:
+            raise ValueError(f"{t} is not a residue mod {n}")
     m = len(terms)
     total = m * (m + 1) // 2
     if total % n:

@@ -194,6 +194,26 @@ def test_domain_errors_exit_two(capsys):
         assert err.startswith(f"error: {name}")
 
 
+def test_construct_long_progression_json(capsys):
+    # verified in closed form; an entry-by-entry tally would visit 5 * 10^9 entries
+    code, out, _ = invoke(capsys, "construct", "--n", "3", "--m", "99999", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["balanced"] is True
+    assert len(payload["seq"]) == 99999
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def broken(n):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr("steinhaus.cli.alpha", broken)
+    code, out, err = invoke(capsys, "alpha", "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: internal fault" in err
+
+
 def test_state_cap_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("STEINHAUS_MAX_STATES", "10")
     code, _, err = invoke(capsys, "search", "--n", "2", "--m", "4")

@@ -14,7 +14,9 @@ from steinhaus import (
     UnsupportedLength,
     alpha,
     antisymmetric_progression,
+    balanced_terms,
     beta,
+    classify_even_progressions,
     construct_balanced,
     derive,
     derive_iterated,
@@ -24,6 +26,7 @@ from steinhaus import (
     multiplicities,
     primitive_progression,
     triangle,
+    triangle_rows,
 )
 
 
@@ -315,3 +318,54 @@ def test_multiplicity_recurrence_for_stacked_lengths():
                     assert all(
                         big[x] == k * base[x] + bump for x in range(n)
                     ), (n, d, a, k)
+
+
+def prefix_counts(seq):
+    # residue counts of the triangle of every prefix of `seq`, shortest first:
+    # a prefix's triangle is the top-left corner of the whole one, so the
+    # prefix of length L adds the anti-diagonal of entries (i, L - i + 1)
+    rows = list(triangle_rows(seq))
+    counts = [0] * seq.modulus
+    for length in range(1, len(seq) + 1):
+        for i in range(length):
+            counts[rows[i][length - 1 - i]] += 1
+        yield tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_closed_form_counts_match_tally_exhaustive(n):
+    # every (a, d) and every m <= 40, from one triangle per (a, d)
+    for a in range(n):
+        for d in range(n):
+            whole = ArithmeticProgression(n, a, d, 40)
+            for m, counts in enumerate(prefix_counts(whole.to_sequence()), start=1):
+                ap = ArithmeticProgression(n, a, d, m)
+                assert ap.multiplicities().counts == counts, ap
+                assert ap.is_balanced() == is_balanced(ap.to_sequence()), ap
+            assert counts == multiplicities(whole.to_sequence()).counts
+
+
+@given(progressions(max_modulus=60, max_length=200))
+def test_closed_form_counts_match_tally(ap):
+    seq = ap.to_sequence()
+    assert ap.multiplicities().counts == multiplicities(seq).counts
+    assert ap.is_balanced() == is_balanced(seq)
+
+
+def classify_by_tally(n, max_length):
+    # expands every progression and tallies its triangle entry by entry
+    hits = []
+    for m in range(1, max_length + 1):
+        if (m * (m + 1) // 2) % n:
+            continue
+        for a in range(n):
+            for d in range(n):
+                terms = [(a + j * d) % n for j in range(m)]
+                if balanced_terms(terms, n):
+                    hits.append(ArithmeticProgression(n, a, d, m))
+    return hits
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
+def test_classify_even_matches_tally(n):
+    assert classify_even_progressions(n, 40) == classify_by_tally(n, 40)

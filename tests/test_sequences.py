@@ -243,6 +243,12 @@ def test_tally_matches_closed_form(seq):
     check_tally_against_closed_form(seq)
 
 
+@pytest.mark.parametrize("terms, bad", [([3, 0, 1], 3), ([-1, 0, 1], -1)])
+def test_balanced_terms_rejects_non_residues(terms, bad):
+    with pytest.raises(ValueError, match=f"{bad} is not a residue mod 3"):
+        balanced_terms(terms, 3)
+
+
 @given(sequences())
 def test_balanced_implies_admissible_length(seq):
     m = len(seq)
