@@ -1,9 +1,9 @@
 """Arithmetic progressions mod n and the balanced triangles they generate.
 
 Derivation sends a progression to a progression, so a progression's whole
-triangle has closed forms for its rows, its entries and its residue counts.  When the step is a
-unit mod odd n, suitable lengths (multiples of beta(n)*n or alpha(n)*n, or
-one less) make the triangle balanced.
+triangle has closed forms for its rows, its entries and its residue counts.
+When the step is a unit mod odd n, suitable lengths (multiples of beta(n)*n
+or alpha(n)*n, or one less) make the triangle balanced.
 """
 
 from __future__ import annotations
