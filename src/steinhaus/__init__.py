@@ -12,7 +12,6 @@ from .admissible import (
     admissible_classes,
     coverage_fraction,
     is_admissible,
-    solve_congruences,
 )
 from .errors import (
     BudgetExceeded,
@@ -31,16 +30,11 @@ from .orders import (
     beta,
     factorize,
     invert,
-    is_prime,
-    multiplicative_order,
     omega,
-    padic_valuation,
     radical,
-    totient,
 )
 from .progressions import (
     ArithmeticProgression,
-    antisymmetric_progression,
     construct_balanced,
     primitive_progression,
 )
@@ -57,7 +51,6 @@ from .sequences import (
     Sequence,
     Triangle,
     balanced_terms,
-    binomial_row,
     derive,
     derive_iterated,
     is_antisymmetric,
@@ -91,10 +84,8 @@ __all__ = [
     "UnsupportedLength",
     "admissible_classes",
     "alpha",
-    "antisymmetric_progression",
     "balanced_terms",
     "beta",
-    "binomial_row",
     "brute_force_balanced",
     "classify_even_progressions",
     "construct_balanced",
@@ -106,17 +97,12 @@ __all__ = [
     "is_admissible",
     "is_antisymmetric",
     "is_balanced",
-    "is_prime",
     "molluzzo_probe",
-    "multiplicative_order",
     "multiplicities",
     "omega",
-    "padic_valuation",
     "primitive_progression",
     "project",
     "radical",
-    "solve_congruences",
-    "totient",
     "triangle",
     "triangle_rows",
 ]

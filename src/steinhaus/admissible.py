@@ -9,6 +9,7 @@ and the choices combine independently by the Chinese remainder theorem.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,14 +54,9 @@ def admissible_classes(n: int) -> AdmissibleClasses:
     moduli = [p ** (e + 1) if p == 2 else p ** e for p, e in factorize(n)]
     residues = []
     for choice in itertools.product((0, -1), repeat=len(moduli)):
-        x, period = solve_congruences(
-            [(c % q, q) for c, q in zip(choice, moduli)]
-        )
+        x, _ = solve_congruences([(c % q, q) for c, q in zip(choice, moduli)])
         residues.append(x)
-    period = 1
-    for q in moduli:
-        period *= q
-    return AdmissibleClasses(period, tuple(sorted(residues)))
+    return AdmissibleClasses(math.prod(moduli), tuple(sorted(residues)))
 
 
 def is_admissible(n: int, m: int) -> bool:

@@ -1,11 +1,11 @@
 """Command line interface.
 
-One subcommand per library area: triangle, derive, balanced, alpha, beta,
-admissible, construct, search, classify-even, probe.  Output goes to stdout
-as text (default) or JSON (--format json); JSON field names are stable for
-scripting.  Exit status: 0 on success, 1 on usage errors, 2 on domain
-errors, whose class name appears in the diagnostic, and 3 on internal
-errors, with the traceback on stderr.
+One subcommand per library area, each a row of the command table below.
+Output goes to stdout as text (default) or JSON (--format json); JSON field
+names are stable for scripting.  Exit status: 0 on success, 1 on usage
+errors, 2 on domain errors, whose class name appears in the diagnostic, 3 on
+internal errors, with the traceback on stderr, and 141 (128 + SIGPIPE) when
+stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -38,15 +38,11 @@ from .sequences import (
 MAX_STATES_ENV = "STEINHAUS_MAX_STATES"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage, but 2 is reserved for
-    # domain errors here, so usage problems are routed through run().
+    # argparse exits with status 2 on bad usage, but 2 is reserved for domain
+    # errors here, so usage problems are raised for run() as bad input.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def render_triangle(t: Triangle) -> str:
@@ -59,14 +55,22 @@ def render_triangle(t: Triangle) -> str:
     return "\n".join(lines)
 
 
-def _max_states(args) -> int:
-    if args.max_states is not None:
-        return args.max_states
-    return int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
+def _csv(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
-def _counts_line(counts) -> str:
-    return "multiplicities: " + ",".join(str(c) for c in counts)
+def _budget(args, workers: int = 1) -> SearchBudget:
+    """Caps from --max-states, else $STEINHAUS_MAX_STATES, else the default."""
+    max_states = args.max_states
+    if max_states is None:
+        max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
+    return SearchBudget(max_states=max_states, workers=workers)
+
+
+def _verdict(mv) -> tuple[dict, str]:
+    """A triangle's balance and residue counts, as payload fields and a text line."""
+    fields = {"balanced": mv.is_constant(), "multiplicities": list(mv.counts)}
+    return fields, f"multiplicities: {_csv(mv.counts)}"
 
 
 def _cmd_triangle(args):
@@ -83,57 +87,37 @@ def _cmd_derive(args):
 
 def _cmd_balanced(args):
     seq = Sequence.from_text(args.n, args.seq)
-    mv = multiplicities(seq)
-    ok = mv.is_constant()
-    payload = {
-        "n": seq.modulus,
-        "m": len(seq),
-        "balanced": ok,
-        "multiplicities": list(mv.counts),
-    }
-    return payload, f"balanced: {'yes' if ok else 'no'}\n{_counts_line(mv.counts)}"
+    fields, counts = _verdict(multiplicities(seq))
+    payload = {"n": seq.modulus, "m": len(seq), **fields}
+    return payload, f"balanced: {'yes' if fields['balanced'] else 'no'}\n{counts}"
 
 
-def _cmd_alpha(args):
-    value = alpha(args.n)
-    return {"n": args.n, "alpha": value}, str(value)
-
-
-def _cmd_beta(args):
-    value = beta(args.n)
-    return {"n": args.n, "beta": value}, str(value)
+def _cmd_order(args):
+    # Looked up by name on each call, so a patched alpha or beta is honoured.
+    value = {"alpha": alpha, "beta": beta}[args.command](args.n)
+    return {"n": args.n, args.command: value}, str(value)
 
 
 def _cmd_admissible(args):
     ac = admissible_classes(args.n)
     payload = {"n": args.n, "period": ac.period, "classes": list(ac.residues)}
-    lines = [
-        f"period: {ac.period}",
-        "classes: " + ",".join(str(r) for r in ac.residues),
-    ]
+    lines = [f"period: {ac.period}", f"classes: {_csv(ac.residues)}"]
     if args.max is not None:
-        lengths = [m for m in range(1, args.max + 1) if m in ac]
-        payload["lengths"] = lengths
-        lines.append("lengths: " + ",".join(str(m) for m in lengths))
+        payload["lengths"] = [m for m in range(1, args.max + 1) if m in ac]
+        lines.append(f"lengths: {_csv(payload['lengths'])}")
     return payload, "\n".join(lines)
 
 
 def _cmd_construct(args):
     ap = _construction(args.n, args.m, args.d, args.family, args.a)
     seq = ap.to_sequence()
-    mv = ap.multiplicities()
-    payload = {
-        "n": args.n,
-        "m": args.m,
-        "seq": list(seq.terms),
-        "balanced": mv.is_constant(),
-        "multiplicities": list(mv.counts),
-    }
-    return payload, f"{seq.to_text()}\n{_counts_line(mv.counts)}"
+    fields, counts = _verdict(ap.multiplicities())
+    payload = {"n": args.n, "m": args.m, "seq": list(seq.terms), **fields}
+    return payload, f"{seq.to_text()}\n{counts}"
 
 
 def _cmd_search(args):
-    budget = SearchBudget(max_states=_max_states(args), workers=args.workers)
+    budget = _budget(args, args.workers)
     report = brute_force_balanced(args.n, args.m, budget, count_only=args.count_only)
     payload = {
         "n": args.n,
@@ -143,30 +127,70 @@ def _cmd_search(args):
         "states_examined": report.states_examined,
     }
     lines = [s.to_text() for s in report.found]
-    lines.append(f"count: {report.count}")
-    lines.append(f"states_examined: {report.states_examined}")
+    lines += [f"count: {report.count}", f"states_examined: {report.states_examined}"]
     return payload, "\n".join(lines)
 
 
 def _cmd_classify_even(args):
     aps = classify_even_progressions(args.n, args.max_m)
-    payload = {
-        "n": args.n,
-        "count": len(aps),
-        "found": [list(ap.to_sequence().terms) for ap in aps],
-    }
+    seqs = [ap.to_sequence() for ap in aps]
+    payload = {"n": args.n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
     lines = [
-        f"m={ap.length} start={ap.start} step={ap.step}: {ap.to_sequence().to_text()}"
-        for ap in aps
+        f"m={ap.length} start={ap.start} step={ap.step}: {s.to_text()}"
+        for ap, s in zip(aps, seqs)
     ]
-    lines.append(f"count: {len(aps)}")
-    return payload, "\n".join(lines)
+    return payload, "\n".join([*lines, f"count: {len(aps)}"])
 
 
 def _cmd_probe(args):
-    budget = SearchBudget(max_states=_max_states(args))
-    exists = molluzzo_probe(args.n, args.m, budget)
+    exists = molluzzo_probe(args.n, args.m, _budget(args))
     return {"n": args.n, "m": args.m, "balanced": exists}, "yes" if exists else "no"
+
+
+# Flags that several subcommands take; every subcommand takes --n and --format.
+_N = ("--n", dict(type=int, required=True, help="modulus"))
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text", help="output format"))
+_SEQ = ("--seq", dict(required=True, help="comma-separated terms, reduced mod n"))
+_M = ("--m", dict(type=int, required=True, help="sequence length"))
+_MAX_STATES = (
+    "--max-states",
+    dict(type=int, help=f"state cap (default: ${MAX_STATES_ENV} or {DEFAULT_MAX_STATES})"),
+)
+
+# Every subcommand as (name, help, flags, handler), in --help order; each
+# flag is (name, add_argument options).  A handler returns the JSON payload
+# and the text output.
+_COMMANDS = (
+    ("triangle", "print the triangle generated by a sequence", [_SEQ], _cmd_triangle),
+    ("derive", "print the i-th derived sequence", [
+        _SEQ,
+        ("--i", dict(type=int, default=1, help="number of derivation steps")),
+    ], _cmd_derive),
+    ("balanced", "check balance and print the multiplicities", [_SEQ], _cmd_balanced),
+    ("alpha", "order of 2^n in the units mod odd n", [], _cmd_order),
+    ("beta", "least e with 2^(e*n) = +-1 mod odd n", [], _cmd_order),
+    ("admissible", "residue classes of admissible lengths", [
+        ("--max", dict(type=int, help="also list admissible lengths up to this bound")),
+    ], _cmd_admissible),
+    ("construct", "build a balanced progression sequence", [
+        _M,
+        ("--d", dict(type=int, default=1, help="progression step (default 1)")),
+        ("--family", dict(
+            choices=("beta", "alpha"), default="beta", help="construction family (default beta)"
+        )),
+        ("--a", dict(type=int, help="progression start (alpha family only)")),
+    ], _cmd_construct),
+    ("search", "exhaustively list balanced sequences of one length", [
+        _M,
+        ("--count-only", dict(action="store_true", help="report the count, drop the list")),
+        ("--workers", dict(type=int, default=1, help="worker processes (default 1)")),
+        _MAX_STATES,
+    ], _cmd_search),
+    ("classify-even", "balanced progressions over an even modulus", [
+        ("--max-m", dict(type=int, default=40, help="length bound (default 40)")),
+    ], _cmd_classify_even),
+    ("probe", "does any balanced sequence of this length exist", [_M, _MAX_STATES], _cmd_probe),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,75 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Balanced Steinhaus triangles over Z/nZ.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, help_text):
+    for name, help_text, flags, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--n", type=int, required=True, help="modulus")
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
+        for flag, options in (_N, _FORMAT, *flags):
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("triangle", _cmd_triangle, "print the triangle generated by a sequence")
-    p.add_argument("--seq", required=True, help="comma-separated terms, reduced mod n")
-
-    p = add("derive", _cmd_derive, "print the i-th derived sequence")
-    p.add_argument("--seq", required=True, help="comma-separated terms, reduced mod n")
-    p.add_argument("--i", type=int, default=1, help="number of derivation steps")
-
-    p = add("balanced", _cmd_balanced, "check balance and print the multiplicities")
-    p.add_argument("--seq", required=True, help="comma-separated terms, reduced mod n")
-
-    add("alpha", _cmd_alpha, "order of 2^n in the units mod odd n")
-    add("beta", _cmd_beta, "least e with 2^(e*n) = +-1 mod odd n")
-
-    p = add("admissible", _cmd_admissible, "residue classes of admissible lengths")
-    p.add_argument("--max", type=int, help="also list admissible lengths up to this bound")
-
-    p = add("construct", _cmd_construct, "build a balanced progression sequence")
-    p.add_argument("--m", type=int, required=True, help="sequence length")
-    p.add_argument("--d", type=int, default=1, help="progression step (default 1)")
-    p.add_argument(
-        "--family",
-        choices=("beta", "alpha"),
-        default="beta",
-        help="construction family (default beta)",
-    )
-    p.add_argument("--a", type=int, help="progression start (alpha family only)")
-
-    p = add("search", _cmd_search, "exhaustively list balanced sequences of one length")
-    p.add_argument("--m", type=int, required=True, help="sequence length")
-    p.add_argument("--count-only", action="store_true", help="report the count, drop the list")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument(
-        "--max-states",
-        type=int,
-        help=f"state cap (default: ${MAX_STATES_ENV} or {DEFAULT_MAX_STATES})",
-    )
-
-    p = add("classify-even", _cmd_classify_even, "balanced progressions over an even modulus")
-    p.add_argument("--max-m", type=int, default=40, help="length bound (default 40)")
-
-    p = add("probe", _cmd_probe, "does any balanced sequence of this length exist")
-    p.add_argument("--m", type=int, required=True, help="sequence length")
-    p.add_argument(
-        "--max-states",
-        type=int,
-        help=f"state cap for the search fallback (default: ${MAX_STATES_ENV} or {DEFAULT_MAX_STATES})",
-    )
-
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         payload, text = args.handler(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -255,10 +222,14 @@ def run(argv=None) -> int:
 
         traceback.print_exc()
         return 3
-    if args.format == "json":
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, separators=(",", ":")) if args.format == "json" else text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit finds nowhere to fail, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

@@ -123,16 +123,16 @@ def alpha(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def beta(n: int) -> int:
-    """Least e >= 1 with 2^(e*n) = +1 or -1 mod n, for odd n.  beta(1) = 1."""
+    """Least e >= 1 with 2^(e*n) = +1 or -1 mod n, for odd n.  beta(1) = 1.
+
+    2^n has order a = alpha(n) mod n, and -1 is the only element of order 2 in
+    the group it generates, so beta(n) = a/2 if 2^(n*a/2) = -1 mod n, else a.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n % 2 == 0:
         raise EvenModulus(f"beta is defined for odd moduli, got {n}")
-    step = pow(2, n, n)
-    hits = {1 % n, (n - 1) % n}
-    x = step
-    for e in range(1, totient(n) + 1):
-        if x in hits:
-            return e
-        x = x * step % n
-    raise AssertionError("no power of 2^n reached +-1 below the totient")
+    a = alpha(n)
+    if a % 2 == 0 and pow(2, n * a // 2, n) == n - 1:
+        return a // 2
+    return a

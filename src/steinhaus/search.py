@@ -21,7 +21,7 @@ from functools import partial
 
 from .admissible import is_admissible
 from .errors import BudgetExceeded, UnsupportedLength
-from .progressions import ArithmeticProgression, construct_balanced
+from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence
 
 DEFAULT_MAX_STATES = 10**8
@@ -201,12 +201,8 @@ def brute_force_balanced(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
-    found: list[tuple[int, ...]] = []
-    count = 0
-    for block_found, block_count in blocks:
-        found.extend(block_found)
-        count += block_count
-    return SearchReport(n, m, tuple(Sequence(n, t) for t in found), count, states)
+    found = tuple(Sequence(n, t) for block_found, _ in blocks for t in block_found)
+    return SearchReport(n, m, found, sum(count for _, count in blocks), states)
 
 
 def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticProgression]:
@@ -248,7 +244,7 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
     if n % 2:
         for family in ("beta", "alpha"):
             try:
-                construct_balanced(n, m, family=family)
+                _construction(n, m, 1, family, None)
                 return True
             except UnsupportedLength:
                 continue

@@ -10,8 +10,8 @@ from steinhaus import (
     coverage_fraction,
     is_admissible,
     omega,
-    solve_congruences,
 )
+from steinhaus.admissible import solve_congruences
 
 
 def test_solve_congruences():

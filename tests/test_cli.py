@@ -245,6 +245,25 @@ def test_module_entry_point():
     assert proc.returncode == 2
 
 
+def test_closed_stdout_exits_quietly():
+    # The JSON runs to about 200 KB, more than a pipe holds, so the writes
+    # after the reader has gone fail with a broken pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "steinhaus.cli", "construct", "--n", "3", "--m", "99999",
+         "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(60).startswith(b'{"n":3,"m":99999,"seq":[')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert proc.returncode == 141
+    assert err == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

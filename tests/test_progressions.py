@@ -13,7 +13,6 @@ from steinhaus import (
     NotInvertible,
     UnsupportedLength,
     alpha,
-    antisymmetric_progression,
     balanced_terms,
     beta,
     classify_even_progressions,
@@ -28,6 +27,7 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
+from steinhaus.progressions import antisymmetric_progression
 
 
 @st.composite

@@ -14,7 +14,6 @@ from steinhaus import (
     NotADivisor,
     Sequence,
     balanced_terms,
-    binomial_row,
     derive,
     derive_iterated,
     is_antisymmetric,
@@ -24,6 +23,7 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
+from steinhaus.sequences import binomial_row
 
 
 @st.composite
