@@ -47,11 +47,18 @@ class _Parser(argparse.ArgumentParser):
 
 def render_triangle(t: Triangle) -> str:
     """Center the rows under each other, the way the triangle is drawn."""
-    width = max(len(str(t.modulus - 1)), 1)
+    n, m = t.modulus, t.height
+    width = max(len(str(n - 1)), 1)
+    # Each cell is formatted once per residue; when the residues outnumber
+    # the entries, only the residues that occur get one.
+    if n <= m * (m + 1) // 2:
+        cells = [str(v).rjust(width) for v in range(n)]
+    else:
+        cells = {v: str(v).rjust(width) for v in t.entries()}
     lines = []
     for i, row in enumerate(t.rows):
         pad = " " * ((i * (width + 1)) // 2)
-        lines.append(pad + " ".join(str(v).rjust(width) for v in row.terms))
+        lines.append(pad + " ".join([cells[v] for v in row.terms]))
     return "\n".join(lines)
 
 

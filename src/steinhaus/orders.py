@@ -96,19 +96,21 @@ def invert(a: int, n: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Least e >= 1 with a^e = 1 mod n.  a must be coprime to n."""
+    """Least e >= 1 with a^e = 1 mod n.  a must be coprime to n.
+
+    The order divides phi(n), so it is phi(n) with every prime q taken out
+    for as long as a^(e/q) = 1 mod n still holds.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     a %= n
     if gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not a unit mod {n}")
-    target = 1 % n
-    x = a
-    for e in range(1, totient(n) + 1):
-        if x == target:
-            return e
-        x = x * a % n
-    raise AssertionError("order not found below the totient")
+    e = totient(n)
+    for q, _ in factorize(e):
+        while e % q == 0 and pow(a, e // q, n) == 1 % n:
+            e //= q
+    return e
 
 
 @lru_cache(maxsize=None)

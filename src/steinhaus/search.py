@@ -210,7 +210,12 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
 
     Scans every (start, step, length) triple; non-admissible lengths are
     skipped, and the rest are counted in closed form, row by row, without
-    expanding the progression.
+    expanding the progression.  Each triple is first sieved by its projection
+    mod 2, the least prime dividing n.  The triangle of AP(a, d, m) reduced
+    mod 2 is the triangle of AP(a mod 2, d mod 2, m), and each of its counts
+    sums n/2 counts mod n, so a triangle balanced mod n is balanced mod 2.
+    Only the triples whose projection is balanced are counted mod n; for
+    n = 2 the projection is the progression itself and settles it.
     """
     if n < 2 or n % 2:
         raise ValueError(f"classification applies to even moduli, got {n}")
@@ -220,11 +225,15 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
     for m in range(1, max_length + 1):
         if (m * (m + 1) // 2) % n:
             continue
+        parities = {
+            (x, y) for x in (0, 1) for y in (0, 1) if ArithmeticProgression(2, x, y, m).is_balanced()
+        }
         for a in range(n):
             for d in range(n):
-                ap = ArithmeticProgression(n, a, d, m)
-                if ap.is_balanced():
-                    hits.append(ap)
+                if (a % 2, d % 2) in parities:
+                    ap = ArithmeticProgression(n, a, d, m)
+                    if n == 2 or ap.is_balanced():
+                        hits.append(ap)
     return hits
 
 

@@ -5,10 +5,23 @@ triangle: row 1 is X itself, and each following row holds the sums of
 adjacent pairs of the row above, down to a single entry.  The triangle has
 m(m+1)/2 entries and is called balanced when every residue class occurs
 equally often among them.
+
+Rows are computed packed.  A row of L terms is one integer: its bytes, in
+the machine's byte order, are the terms' lanes of w bytes each, one after
+the other, so a memoryview cast reads the terms back.  w is the least of
+1, 2, 4, 8, ... with 2n <= 2^(8w-1); every modulus up to 64 gets one-byte
+lanes.  Adding the integer to itself shifted down one lane sums every
+adjacent pair at once.  A sum is below 2n, so no lane carries into the next,
+and dropping the top lane leaves the row below, still unreduced.  Adding
+2^(8w-1) - n to every lane sets a lane's top bit exactly when its sum is at
+least n, which picks out the lanes that need n subtracted, with no branch
+per term.  A row of one-byte lanes is handed out as its bytes and tallied
+with one bytes.count per residue; wider rows are unpacked into tuples.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -48,6 +61,14 @@ class Sequence:
         except ValueError:
             raise ValueError(f"not a comma-separated integer sequence: {text!r}") from None
         return cls.reduce(modulus, values)
+
+    @classmethod
+    def _trusted(cls, modulus: int, terms: tuple[int, ...]) -> "Sequence":
+        """A sequence of terms already known to be residues mod `modulus`."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "modulus", modulus)
+        object.__setattr__(seq, "terms", terms)
+        return seq
 
     def to_text(self) -> str:
         return ",".join(str(t) for t in self.terms)
@@ -117,16 +138,58 @@ class MultiplicityVector:
         return len(set(self.counts)) == 1
 
 
-def _next_row(row, n: int) -> tuple[int, ...]:
-    """The row below `row` in a triangle mod n; every row here comes from it."""
-    return tuple([(a + b) % n for a, b in zip(row, row[1:])])
+_NATIVE_LANES = {2: "H", 4: "I", 8: "Q"}  # memoryview formats of the wider lanes
+
+
+def _lane_width(n: int) -> int:
+    """Bytes per lane of a packed row mod n: the least w = 2^k with 2n <= 2^(8w-1)."""
+    w = 1
+    while 2 * n > 1 << (8 * w - 1):
+        w *= 2
+    return w
+
+
+def _rows(terms, n: int) -> Iterator[bytes | tuple[int, ...]]:
+    """The rows of the triangle of `terms` (residues mod n), top row first.
+
+    Every row comes from the packed kernel described in the module
+    docstring.  A row is its bytes when the lanes are one byte wide, else a
+    tuple; either way it is a sequence of the row's residues.
+    """
+    w = _lane_width(n)
+    bits = 8 * w
+    order = sys.byteorder
+    length = len(terms)
+    data = bytes(terms) if w == 1 else b"".join(t.to_bytes(w, order) for t in terms)
+    x = int.from_bytes(data, order)
+    ones = int.from_bytes((1).to_bytes(w, order) * length, order)
+    lift = ones * ((1 << bits - 1) - n)
+    mask = (1 << bits * length) - 1
+    while True:
+        if w == 1:
+            yield data
+        elif w in _NATIVE_LANES:
+            yield tuple(memoryview(data).cast(_NATIVE_LANES[w]))
+        else:
+            yield tuple(int.from_bytes(data[i : i + w], order) for i in range(0, len(data), w))
+        if length == 1:
+            return
+        length -= 1
+        mask >>= bits
+        s = (x + (x >> bits)) & mask
+        # ones and lift keep the top row's length: past the row, a lane of
+        # s + lift is 2^(8w-1) - n, whose top bit is clear.
+        x = s - (((s + lift) >> (bits - 1)) & ones) * n
+        data = x.to_bytes(length * w, order)
 
 
 def derive(seq: Sequence) -> Sequence:
     """One derivation step: the sums of adjacent pairs, reduced mod n."""
     if len(seq.terms) < 2:
         raise LengthTooShort("derivation needs at least two terms")
-    return Sequence(seq.modulus, _next_row(seq.terms, seq.modulus))
+    rows = triangle_rows(seq)
+    next(rows)
+    return Sequence._trusted(seq.modulus, next(rows))
 
 
 def binomial_row(i: int, n: int) -> list[int]:
@@ -167,30 +230,33 @@ def derive_iterated(seq: Sequence, i: int) -> Sequence:
     return Sequence(n, tuple(out))
 
 
-def _rows(row, n: int) -> Iterator[tuple[int, ...]]:
-    yield row
-    while len(row) > 1:
-        row = _next_row(row, n)
-        yield row
-
-
 def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
     """Yield the triangle rows as plain tuples without keeping them all."""
-    return _rows(seq.terms, seq.modulus)
+    return map(tuple, _rows(seq.terms, seq.modulus))
 
 
 def triangle(seq: Sequence) -> Triangle:
     """Materialize the full triangle generated by `seq`."""
     n = seq.modulus
-    return Triangle(tuple(Sequence(n, row) for row in triangle_rows(seq)))
+    return Triangle(tuple(Sequence._trusted(n, row) for row in triangle_rows(seq)))
 
 
 def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
-    """Residue counts over the entries of `rows`, or None once one passes `cap`."""
+    """Residue counts over the entries of `rows`, or None once one passes `cap`.
+
+    Rows of one-byte lanes are counted as bytes, one bytes.count per residue
+    (bytes(row) is the row itself when it is bytes already); wider rows entry
+    by entry.
+    """
     counts = [0] * n
+    bytewise = _lane_width(n) == 1
     for row in rows:
-        for v in row:
-            counts[v] += 1
+        if bytewise:
+            row = bytes(row)
+            counts = [c + row.count(v) for v, c in enumerate(counts)]
+        else:
+            for v in row:
+                counts[v] += 1
         if cap is not None and max(counts) > cap:
             return None
     return counts
@@ -205,7 +271,7 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     if isinstance(obj, Triangle):
         rows = (row.terms for row in obj.rows)
     else:
-        rows = triangle_rows(obj)
+        rows = _rows(obj.terms, obj.modulus)
     return MultiplicityVector(obj.modulus, tuple(_tally(rows, obj.modulus)))
 
 

@@ -72,6 +72,7 @@ def test_multiplicative_order_known_values():
     assert multiplicative_order(2, 5) == 4
     assert multiplicative_order(1, 17) == 1
     assert multiplicative_order(0, 1) == 1
+    assert multiplicative_order(2, 1000000007) == 500000003
     with pytest.raises(NotCoprime):
         multiplicative_order(2, 4)
 

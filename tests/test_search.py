@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from search_oracle import odometer_block, odometer_report
 
 from steinhaus import (
+    ArithmeticProgression,
     BudgetExceeded,
     SearchBudget,
     SearchReport,
@@ -230,6 +231,22 @@ def test_classify_even_rejects_odd():
         classify_even_progressions(5)
     with pytest.raises(ValueError):
         classify_even_progressions(6, max_length=0)
+
+
+def unsieved_classification(n, max_length):
+    # every triple counted mod n, with no projection first
+    return [
+        ArithmeticProgression(n, a, d, m)
+        for m in range(1, max_length + 1)
+        for a in range(n)
+        for d in range(n)
+        if ArithmeticProgression(n, a, d, m).is_balanced()
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 6, *range(16, 41, 2)])
+def test_classify_even_sieve_drops_no_balanced_progression(n):
+    assert classify_even_progressions(n, 40) == unsieved_classification(n, 40)
 
 
 def test_classify_even_results_are_balanced_and_admissible():

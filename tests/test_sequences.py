@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from row_oracle import next_row, oracle_rows
 
 from steinhaus import (
     IndexOutOfRange,
@@ -14,6 +16,7 @@ from steinhaus import (
     NotADivisor,
     Sequence,
     balanced_terms,
+    construct_balanced,
     derive,
     derive_iterated,
     is_antisymmetric,
@@ -23,7 +26,7 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
-from steinhaus.sequences import binomial_row
+from steinhaus.sequences import _rows, binomial_row
 
 
 @st.composite
@@ -291,3 +294,80 @@ def test_antisymmetric_counts_are_negation_symmetric(seq):
     n = seq.modulus
     for x in range(n):
         assert counts[x] == counts[(n - x) % n]
+
+
+# Moduli at both sides of each lane-width step of the packed kernel: one-byte
+# lanes up to 64, then two, four and eight bytes, then sixteen past 2^62.
+LANE_BOUNDARIES = [64, 65, 2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**62, 2**62 + 1]
+
+
+def oracle_counts(terms, n):
+    tally = Counter(v for row in oracle_rows(terms, n) for v in row)
+    return tuple(tally[r] for r in range(n))
+
+
+def test_packed_rows_match_oracle_exhaustive():
+    # The oracle rows of a sequence are the sequence itself over the oracle
+    # rows of its next row, which the previous length has already built.
+    for n in range(1, 9):
+        shorter = {}
+        for m in range(1, 7):
+            level = {}
+            for terms in itertools.product(range(n), repeat=m):
+                rows = [terms, *shorter[next_row(terms, n)]] if m > 1 else [terms]
+                assert list(map(tuple, _rows(terms, n))) == rows
+                if m < 6:
+                    level[terms] = rows
+            shorter = level
+
+
+@pytest.mark.parametrize("n", LANE_BOUNDARIES)
+def test_packed_rows_match_oracle_at_lane_boundaries(n):
+    rng = random.Random(n)
+    for m in (1, 2, 3, 17, 40):
+        # all-top terms make every lane sum 2n - 2, the largest it can be
+        for terms in ([n - 1] * m, [0] * m, [rng.randrange(n) for _ in range(m)],
+                      [rng.choice((0, 1, n - 2, n - 1)) for _ in range(m)]):
+            seq = Sequence(n, tuple(terms))
+            rows = oracle_rows(terms, n)
+            assert list(triangle_rows(seq)) == rows
+            assert [r.terms for r in triangle(seq).rows] == rows
+            if m > 1:
+                assert derive(seq).terms == rows[1]
+            if n <= 2**14 + 1:
+                counts = oracle_counts(terms, n)
+                assert multiplicities(seq).counts == counts
+                assert multiplicities(triangle(seq)).counts == counts
+                assert balanced_terms(terms, n) == (len(set(counts)) == 1)
+
+
+@pytest.mark.parametrize("n, m", [(75, 299), (75, 300), (81, 80), (81, 81)])
+def test_wide_lane_tally_confirms_balanced_constructions(n, m):
+    # balanced triangles on two-byte lanes: the tally without an early exit
+    seq = construct_balanced(n, m)
+    assert is_balanced(seq)
+    assert multiplicities(seq).counts == oracle_counts(seq.terms, n)
+
+
+@st.composite
+def wide_sequences(draw, max_length=25):
+    n = draw(st.one_of(
+        st.integers(1, 300),
+        st.sampled_from([b + k for b in LANE_BOUNDARIES for k in (-1, 0, 1)]),
+        st.integers(1, 2**70),
+    ))
+    m = draw(st.integers(1, max_length))
+    term = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+    terms = draw(st.lists(term, min_size=m, max_size=m))
+    return Sequence(n, tuple(terms))
+
+
+@given(wide_sequences())
+def test_packed_rows_match_oracle(seq):
+    n = seq.modulus
+    rows = oracle_rows(seq.terms, n)
+    assert list(triangle_rows(seq)) == rows
+    if n <= 2**14 + 1:
+        counts = oracle_counts(seq.terms, n)
+        assert multiplicities(seq).counts == counts
+        assert balanced_terms(list(seq.terms), n) == (len(set(counts)) == 1)
