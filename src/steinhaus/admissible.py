@@ -59,11 +59,20 @@ def admissible_classes(n: int) -> AdmissibleClasses:
     return AdmissibleClasses(math.prod(moduli), tuple(sorted(residues)))
 
 
+def _target(n: int, m: int) -> int | None:
+    """Each residue's count m(m+1)/(2n) in a balanced triangle of m rows mod n.
+
+    None when n does not divide m(m+1)/2, so that no such triangle exists.
+    """
+    count, rest = divmod(m * (m + 1) // 2, n)
+    return None if rest else count
+
+
 def is_admissible(n: int, m: int) -> bool:
     """Whether n divides the triangle entry count m(m+1)/2."""
     if n < 1 or m < 1:
         raise ValueError("modulus and length must be positive")
-    return (m * (m + 1) // 2) % n == 0
+    return _target(n, m) is not None
 
 
 def coverage_fraction(n: int) -> Fraction:

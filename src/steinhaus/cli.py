@@ -83,7 +83,7 @@ def _verdict(mv) -> tuple[dict, str]:
 def _cmd_triangle(args):
     t = triangle(Sequence.from_text(args.n, args.seq))
     payload = {"n": t.modulus, "m": t.height, "rows": [list(r.terms) for r in t.rows]}
-    return payload, render_triangle(t)
+    return payload, render_triangle(t) if args.format == "text" else None
 
 
 def _cmd_derive(args):

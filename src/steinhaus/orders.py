@@ -12,23 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import EvenModulus, NotCoprime, NotPrime
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality check."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+from .errors import EvenModulus, NotCoprime
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -70,19 +54,6 @@ def totient(n: int) -> int:
     for p, e in factorize(n):
         t *= p ** (e - 1) * (p - 1)
     return t
-
-
-def padic_valuation(p: int, n: int) -> int:
-    """Exponent of the prime p in n."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def invert(a: int, n: int) -> int:

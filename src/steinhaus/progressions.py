@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .admissible import _target
 from .errors import EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength
 from .orders import alpha, beta
 from .sequences import MultiplicityVector, Sequence
@@ -101,12 +102,12 @@ class ArithmeticProgression:
         return MultiplicityVector(n, tuple(counts))
 
     def is_balanced(self) -> bool:
-        """Whether the triangle is balanced; stops once a count passes total/n."""
+        """Whether the triangle is balanced; stops once a count passes the target."""
         n, m = self.modulus, self.length
-        total = m * (m + 1) // 2
-        if total % n:
+        target = _target(n, m)
+        if target is None:
             return False
-        return _progression_tally(n, self.start, self.step, m, cap=total // n) is not None
+        return _progression_tally(n, self.start, self.step, m, cap=target) is not None
 
 
 def primitive_progression(ap: ArithmeticProgression) -> ArithmeticProgression:
@@ -122,21 +123,6 @@ def primitive_progression(ap: ArithmeticProgression) -> ArithmeticProgression:
     inv4 = inv2 * inv2 % n
     start = (inv2 * ap.start - inv4 * ap.step) % n
     return ArithmeticProgression(n, start, inv2 * ap.step % n, ap.length + 1)
-
-
-def antisymmetric_progression(n: int, step: int, length: int) -> ArithmeticProgression:
-    """The unique antisymmetric progression mod odd n with the given step.
-
-    Antisymmetry (reversal equals negation) pins the start to
-    2^-1 * (1 - length) * step.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n % 2 == 0:
-        raise EvenModulus(f"the antisymmetric progression is only unique for odd moduli, got {n}")
-    inv2 = (n + 1) // 2
-    start = inv2 * ((1 - length) % n) % n * (step % n) % n
-    return ArithmeticProgression(n, start, step % n, length)
 
 
 def construct_balanced(

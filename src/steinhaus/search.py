@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 
-from .admissible import is_admissible
+from .admissible import _target, is_admissible
 from .errors import BudgetExceeded, UnsupportedLength
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence
@@ -124,19 +124,19 @@ def _scan_block(n: int, m: int, prefix, count_only: bool):
     hits come out in lexicographic order.  Each node carries the right-edge
     diagonal and the residue counts of its prefix's triangle; a child whose
     diagonal pushes a count past target = m(m+1)/(2n) is pruned with its
-    whole subtree (see _children).  When m is admissible the counts of a full
-    sequence sum to n * target, so one whose counts all stay within target is
-    balanced; when m is not, none does.  The nodes wait on an explicit stack,
-    so the length is not bounded by the recursion limit.
+    whole subtree (see _children).  The counts of a full sequence sum to
+    n * target, so one whose counts all stay within target is balanced; a
+    length that is not admissible has an empty block.  The nodes wait on an
+    explicit stack, so the length is not bounded by the recursion limit.
     """
-    target = m * (m + 1) // (2 * n)
+    target = _target(n, m)
     counts = [0] * n
     diagonal: list[int] = []
     for x in prefix:
         diagonal = list(itertools.accumulate(diagonal, lambda d, p: (d + p) % n, initial=x))
         for d in diagonal:
             counts[d] += 1
-    if max(counts) > target:
+    if target is None or max(counts) > target:
         return [], 0
     k = len(prefix)
     if k == m:
@@ -223,7 +223,7 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
         raise ValueError(f"max_length must be positive, got {max_length}")
     hits = []
     for m in range(1, max_length + 1):
-        if (m * (m + 1) // 2) % n:
+        if _target(n, m) is None:
             continue
         parities = {
             (x, y) for x in (0, 1) for y in (0, 1) if ArithmeticProgression(2, x, y, m).is_balanced()

@@ -15,16 +15,17 @@ adjacent pair at once.  A sum is below 2n, so no lane carries into the next,
 and dropping the top lane leaves the row below, still unreduced.  Adding
 2^(8w-1) - n to every lane sets a lane's top bit exactly when its sum is at
 least n, which picks out the lanes that need n subtracted, with no branch
-per term.  A row of one-byte lanes is handed out as its bytes and tallied
-with one bytes.count per residue; wider rows are unpacked into tuples.
+per term.  Rows of one-byte lanes come out as bytes, wider ones as tuples.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from typing import Iterator
 
+from .admissible import _target
 from .errors import IndexOutOfRange, LengthTooShort, NotADivisor
 
 
@@ -172,7 +173,7 @@ def _rows(terms, n: int) -> Iterator[bytes | tuple[int, ...]]:
             yield tuple(memoryview(data).cast(_NATIVE_LANES[w]))
         else:
             yield tuple(int.from_bytes(data[i : i + w], order) for i in range(0, len(data), w))
-        if length == 1:
+        if length <= 1:  # no terms give one empty row
             return
         length -= 1
         mask >>= bits
@@ -187,47 +188,20 @@ def derive(seq: Sequence) -> Sequence:
     """One derivation step: the sums of adjacent pairs, reduced mod n."""
     if len(seq.terms) < 2:
         raise LengthTooShort("derivation needs at least two terms")
-    rows = triangle_rows(seq)
-    next(rows)
-    return Sequence._trusted(seq.modulus, next(rows))
-
-
-def binomial_row(i: int, n: int) -> list[int]:
-    """Row i of Pascal's triangle reduced mod n.
-
-    Built by the additive recurrence with reduction at every step, which is
-    exact for composite moduli, and keeps only one row in memory.
-    """
-    if i < 0:
-        raise IndexOutOfRange(f"row index must be nonnegative, got {i}")
-    row = [1 % n]
-    for _ in range(i):
-        row.append(row[-1])
-        for k in range(len(row) - 2, 0, -1):
-            row[k] = (row[k] + row[k - 1]) % n
-    return row
+    return derive_iterated(seq, 1)
 
 
 def derive_iterated(seq: Sequence, i: int) -> Sequence:
-    """The i-th derived sequence, computed from the binomial closed form.
+    """The i-th derived sequence, read off row i + 1 of the triangle.
 
-    Entry j of the result is sum over k of C(i, k) * x_{j+k} mod n.  This is
-    an independent route from applying `derive` i times and is checked
-    against it in the tests.
+    Entry j is sum over k of C(i, k) * x_{j+k} mod n, the closed form the
+    tests check it against.
     """
     m = len(seq.terms)
     if not 0 <= i <= m - 1:
         raise IndexOutOfRange(f"derivation count {i} outside 0..{m - 1}")
-    n = seq.modulus
-    coeff = binomial_row(i, n)
-    t = seq.terms
-    out = []
-    for j in range(m - i):
-        acc = 0
-        for k, c in enumerate(coeff):
-            acc += c * t[j + k]
-        out.append(acc % n)
-    return Sequence(n, tuple(out))
+    row = next(itertools.islice(_rows(seq.terms, seq.modulus), i, None))
+    return Sequence._trusted(seq.modulus, tuple(row))
 
 
 def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
@@ -244,14 +218,14 @@ def triangle(seq: Sequence) -> Triangle:
 def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
     """Residue counts over the entries of `rows`, or None once one passes `cap`.
 
-    Rows of one-byte lanes are counted as bytes, one bytes.count per residue
-    (bytes(row) is the row itself when it is bytes already); wider rows entry
-    by entry.
+    A row of one-byte lanes at least 8n long is counted with one bytes.count
+    per residue (bytes(row) is the row itself when it is bytes already); any
+    other row entry by entry, which is faster on short rows.
     """
     counts = [0] * n
-    bytewise = _lane_width(n) == 1
+    shortest = 8 * n if _lane_width(n) == 1 else sys.maxsize
     for row in rows:
-        if bytewise:
+        if len(row) >= shortest:
             row = bytes(row)
             counts = [c + row.count(v) for v, c in enumerate(counts)]
         else:
@@ -278,18 +252,15 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
 def balanced_terms(terms, n: int) -> bool:
     """Balance check on a plain list of residues, with an early exit.
 
-    The walk stops once a count passes total/n.  If none ever does, the
-    counts sum to n * (total/n) with each at most total/n, so all are equal.
-    Its callers are `is_balanced` and the test oracle of the search.
+    The walk stops once a count passes m(m+1)/(2n).  If none ever does, the
+    counts, each at most that, sum to n times it, so all are equal.  Its
+    callers are `is_balanced` and the test oracle of the search.
     """
     for t in terms:
         if not 0 <= t < n:
             raise ValueError(f"{t} is not a residue mod {n}")
-    m = len(terms)
-    total = m * (m + 1) // 2
-    if total % n:
-        return False
-    return _tally(_rows(terms, n), n, cap=total // n) is not None
+    target = _target(n, len(terms))
+    return target is not None and _tally(_rows(terms, n), n, cap=target) is not None
 
 
 def is_balanced(seq: Sequence) -> bool:

@@ -27,7 +27,6 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
-from steinhaus.progressions import antisymmetric_progression
 
 
 @st.composite
@@ -152,42 +151,6 @@ def test_primitive_unique_among_progressions():
                     ]
                     best = primitive_progression(ap)
                     assert prims == [(best.start, best.step)]
-
-
-def test_antisymmetric_progression_known_values():
-    ap = antisymmetric_progression(3, 1, 3)
-    assert ap == ArithmeticProgression(3, 2, 1, 3)
-    assert ap.to_sequence().terms == (2, 0, 1)
-    with pytest.raises(EvenModulus):
-        antisymmetric_progression(8, 2, 5)
-
-
-def test_antisymmetric_progression_congruence_endpoints():
-    # m = 0 mod n starts at d/2; m = -1 mod n starts at d
-    for n, d in [(5, 2), (7, 3), (9, 1)]:
-        inv2 = (n + 1) // 2
-        assert antisymmetric_progression(n, d, 2 * n).start == inv2 * d % n
-        assert antisymmetric_progression(n, d, n - 1).start == d % n
-
-
-@settings(max_examples=200)
-@given(st.integers(0, 48), st.integers(1, 30), st.integers(0, 24))
-def test_antisymmetric_progression_is_antisymmetric(n_raw, m, d):
-    n = 2 * (n_raw // 2) + 1  # odd modulus
-    ap = antisymmetric_progression(n, d % n, m)
-    assert is_antisymmetric(ap.to_sequence())
-
-
-def test_antisymmetric_progression_unique_start():
-    for n in (3, 5, 7):
-        for d in range(n):
-            for m in (1, 2, 3, 6, 7):
-                hits = [
-                    a
-                    for a in range(n)
-                    if is_antisymmetric(ArithmeticProgression(n, a, d, m).to_sequence())
-                ]
-                assert hits == [antisymmetric_progression(n, d, m).start]
 
 
 def test_antisymmetric_uniqueness_fails_even_modulus():

@@ -26,7 +26,7 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
-from steinhaus.sequences import _rows, binomial_row
+from steinhaus.sequences import _rows
 
 
 @st.composite
@@ -107,19 +107,6 @@ def test_derive_iterated_index_errors():
         derive_iterated(x, -1)
 
 
-def test_binomial_row_small():
-    assert binomial_row(0, 7) == [1]
-    assert binomial_row(4, 10) == [1, 4, 6, 4, 1]
-    assert binomial_row(5, 2) == [1, 1, 0, 0, 1, 1]
-    with pytest.raises(IndexOutOfRange):
-        binomial_row(-1, 5)
-
-
-@given(st.integers(0, 40), st.integers(1, 60))
-def test_binomial_row_matches_comb(i, n):
-    assert binomial_row(i, n) == [math.comb(i, k) % n for k in range(i + 1)]
-
-
 def test_triangle_figures():
     t = triangle(Sequence(3, (0, 1, 2, 2)))
     assert [r.terms for r in t.rows] == [(0, 1, 2, 2), (1, 0, 1), (1, 1), (2,)]
@@ -183,10 +170,19 @@ def test_derive_shrinks_length_by_one(seq):
         assert all(0 <= v < seq.modulus for v in out.terms)
 
 
+def binomial_convolution(seq, i):
+    # the i-th derived sequence from its closed form, sum_k C(i, k) x_{j+k}
+    n, t = seq.modulus, seq.terms
+    return tuple(
+        sum(math.comb(i, k) * t[j + k] for k in range(i + 1)) % n for j in range(len(t) - i)
+    )
+
+
 @given(sequences(max_modulus=50, max_length=25))
 def test_closed_form_matches_iterated_derive(seq):
     current = seq
     for i in range(len(seq)):
+        assert current.terms == binomial_convolution(seq, i)
         assert derive_iterated(seq, i) == current
         if len(current) > 1:
             current = derive(current)
@@ -223,7 +219,7 @@ def closed_form_counts(seq):
     # from the binomial closed form and collections.Counter counts them
     tally = Counter()
     for i in range(len(seq)):
-        tally.update(derive_iterated(seq, i).terms)
+        tally.update(binomial_convolution(seq, i))
     return tuple(tally[r] for r in range(seq.modulus))
 
 
@@ -311,7 +307,8 @@ def test_packed_rows_match_oracle_exhaustive():
     # rows of its next row, which the previous length has already built.
     for n in range(1, 9):
         shorter = {}
-        for m in range(1, 7):
+        assert balanced_terms([], n) is True  # the empty triangle
+        for m in range(7):
             level = {}
             for terms in itertools.product(range(n), repeat=m):
                 rows = [terms, *shorter[next_row(terms, n)]] if m > 1 else [terms]
@@ -334,6 +331,7 @@ def test_packed_rows_match_oracle_at_lane_boundaries(n):
             assert [r.terms for r in triangle(seq).rows] == rows
             if m > 1:
                 assert derive(seq).terms == rows[1]
+            assert [derive_iterated(seq, i).terms for i in range(m)] == rows
             if n <= 2**14 + 1:
                 counts = oracle_counts(terms, n)
                 assert multiplicities(seq).counts == counts
