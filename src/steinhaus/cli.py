@@ -110,7 +110,12 @@ def _cmd_admissible(args):
     payload = {"n": args.n, "period": ac.period, "classes": list(ac.residues)}
     lines = [f"period: {ac.period}", f"classes: {_csv(ac.residues)}"]
     if args.max is not None:
-        payload["lengths"] = [m for m in range(1, args.max + 1) if m in ac]
+        payload["lengths"] = [
+            m
+            for start in range(0, args.max + 1, ac.period)
+            for r in ac.residues
+            if 0 < (m := start + r) <= args.max
+        ]
         lines.append(f"lengths: {_csv(payload['lengths'])}")
     return payload, "\n".join(lines)
 

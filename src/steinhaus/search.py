@@ -71,13 +71,14 @@ def _pool_size(workers: int, blocks: int) -> int:
     return min(workers, os.cpu_count() or 1, blocks)
 
 
-def _children(n: int, length: int, target: int, diagonal: list[int], counts: list[int]):
+def _children(n: int, target: int, diagonal: list[int], counts: list[int]):
     """The children of a prefix that stay within target, last term first.
 
     Appending x to a prefix whose right-edge diagonal is p_1..p_k adds the
     diagonal d_1 = x, d_i = p_{i-1} + d_{i-1} to its triangle.  Returns
-    (length, x, that diagonal, the counts it leaves) for each x, in
-    decreasing order, that pushes no residue count past target.
+    (that diagonal, the counts it leaves) for each x, in decreasing order,
+    that pushes no residue count past target; the child's last term is the
+    diagonal's first entry, and its length the diagonal's length.
     """
     children = []
     for x in range(n - 1, -1, -1):
@@ -95,71 +96,50 @@ def _children(n: int, length: int, target: int, diagonal: list[int], counts: lis
             child[d] = c
             extended.append(d)
         else:
-            children.append((length, x, extended, child))
+            children.append((extended, child))
     return children
-
-
-def _last_terms(n: int, target: int, diagonal: list[int], counts: list[int]) -> list[int]:
-    """The terms x that complete a prefix of length m - 1 to a balanced sequence.
-
-    The last diagonal is x + (s_0, ..., s_{m-1}), where s_j sums the first j
-    entries of this one, so its residue counts are those of x = 0 shifted by
-    x.  Term x completes the prefix when they fill exactly the residues still
-    short of target.
-    """
-    short = [target - c for c in counts]
-    last = [0] * n
-    last[0] = 1
-    s = 0
-    for p in diagonal:
-        s = (s + p) % n
-        last[s] += 1
-    return [x for x in range(n) if short[x:] + short[:x] == last]
 
 
 def _scan_block(n: int, m: int, prefix, count_only: bool):
     """Find the balanced length-m sequences that start with `prefix`.
 
-    Depth-first search over the suffix, terms tried in increasing order, so
-    hits come out in lexicographic order.  Each node carries the right-edge
-    diagonal and the residue counts of its prefix's triangle; a child whose
-    diagonal pushes a count past target = m(m+1)/(2n) is pruned with its
-    whole subtree (see _children).  The counts of a full sequence sum to
-    n * target, so one whose counts all stay within target is balanced; a
-    length that is not admissible has an empty block.  The nodes wait on an
-    explicit stack, so the length is not bounded by the recursion limit.
+    Depth-first search from the empty sequence, terms tried in increasing
+    order, so hits come out in lexicographic order.  Each node carries the
+    right-edge diagonal and the residue counts of its prefix's triangle, and
+    _children is the one rule that extends it: a child whose diagonal pushes
+    a count past target = m(m+1)/(2n) is pruned with its whole subtree.  At
+    each depth inside `prefix` only the child with the prefix's term is kept.
+    The children of a length m - 1 prefix are full sequences whose counts
+    all stay within target and sum to n * target, so they are exactly the
+    balanced completions.  A length that is not admissible has an empty
+    block.  The nodes wait on an explicit stack, so the length is not bounded
+    by the recursion limit.
     """
     target = _target(n, m)
-    counts = [0] * n
-    diagonal: list[int] = []
-    for x in prefix:
-        diagonal = list(itertools.accumulate(diagonal, lambda d, p: (d + p) % n, initial=x))
-        for d in diagonal:
-            counts[d] += 1
-    if target is None or max(counts) > target:
+    if target is None:
         return [], 0
-    k = len(prefix)
-    if k == m:
-        return ([] if count_only else [tuple(prefix)]), 1
-    terms = list(prefix) + [0] * (m - k)
+    terms = [0] * m
     found = []
     count = 0
-    # Prefixes still to visit, as (length, last term, diagonal, counts).  Each
-    # node's children are pushed in decreasing order, so the next one popped
-    # extends a prefix that terms[:length - 1] still holds.  An empty prefix
-    # has no last term; its entry writes the slot each hit sets anyway.
-    pending = [(k, prefix[-1] if k else 0, diagonal, counts)]
+    # Prefixes still to visit, as (diagonal, counts).  Each node's children
+    # are pushed in decreasing order, so the next one popped extends a prefix
+    # that terms[:depth - 1] still holds.
+    pending = [([], [0] * n)]
     while pending:
-        length, x, diagonal, counts = pending.pop()
-        terms[length - 1] = x
-        if length < m - 1:
-            pending.extend(_children(n, length + 1, target, diagonal, counts))
+        diagonal, counts = pending.pop()
+        depth = len(diagonal)
+        if depth:
+            terms[depth - 1] = diagonal[0]
+        children = _children(n, target, diagonal, counts)
+        if depth < len(prefix):
+            children = [c for c in children if c[0][0] == prefix[depth]]
+        if depth < m - 1:
+            pending.extend(children)
             continue
-        hits = _last_terms(n, target, diagonal, counts)
-        count += len(hits)
+        count += len(children)
         if not count_only:
-            for x in hits:
-                terms[-1] = x
+            for extended, _ in reversed(children):
+                terms[-1] = extended[0]
                 found.append(tuple(terms))
     return found, count
 
@@ -240,9 +220,10 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
 def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
     """Whether any balanced sequence of admissible length m exists mod n.
 
-    Tries the progression constructions first (odd n); otherwise falls back
-    to exhaustive search when n^m fits the budget.  Raises BudgetExceeded
-    when neither route settles the question.
+    For odd n, tries the beta progression construction first; otherwise, or
+    when it does not cover m, counts the balanced sequences by exhaustive
+    search when n^m fits the budget.  Raises BudgetExceeded when neither
+    route settles the question.
     """
     if not is_admissible(n, m):
         raise ValueError(
@@ -251,12 +232,12 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
     if budget is None:
         budget = SearchBudget()
     if n % 2:
-        for family in ("beta", "alpha"):
-            try:
-                _construction(n, m, 1, family, None)
-                return True
-            except UnsupportedLength:
-                continue
+        # beta(n) divides alpha(n), so the alpha family's lengths are beta's.
+        try:
+            _construction(n, m, 1, "beta", None)
+            return True
+        except UnsupportedLength:
+            pass
     if _within_budget(n, m, budget.max_states):
         report = brute_force_balanced(n, m, budget, count_only=True)
         return report.count > 0

@@ -20,7 +20,6 @@ per term.  Rows of one-byte lanes come out as bytes, wider ones as tuples.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from typing import Iterator
@@ -150,12 +149,13 @@ def _lane_width(n: int) -> int:
     return w
 
 
-def _rows(terms, n: int) -> Iterator[bytes | tuple[int, ...]]:
+def _rows(terms, n: int, skip: int = 0) -> Iterator[bytes | tuple[int, ...]]:
     """The rows of the triangle of `terms` (residues mod n), top row first.
 
     Every row comes from the packed kernel described in the module
     docstring.  A row is its bytes when the lanes are one byte wide, else a
-    tuple; either way it is a sequence of the row's residues.
+    tuple; either way it is a sequence of the row's residues.  The first
+    `skip` rows are derived but never unpacked, and not yielded.
     """
     w = _lane_width(n)
     bits = 8 * w
@@ -167,7 +167,9 @@ def _rows(terms, n: int) -> Iterator[bytes | tuple[int, ...]]:
     lift = ones * ((1 << bits - 1) - n)
     mask = (1 << bits * length) - 1
     while True:
-        if w == 1:
+        if skip:
+            skip -= 1
+        elif w == 1:
             yield data
         elif w in _NATIVE_LANES:
             yield tuple(memoryview(data).cast(_NATIVE_LANES[w]))
@@ -181,7 +183,8 @@ def _rows(terms, n: int) -> Iterator[bytes | tuple[int, ...]]:
         # ones and lift keep the top row's length: past the row, a lane of
         # s + lift is 2^(8w-1) - n, whose top bit is clear.
         x = s - (((s + lift) >> (bits - 1)) & ones) * n
-        data = x.to_bytes(length * w, order)
+        if not skip:
+            data = x.to_bytes(length * w, order)
 
 
 def derive(seq: Sequence) -> Sequence:
@@ -200,7 +203,7 @@ def derive_iterated(seq: Sequence, i: int) -> Sequence:
     m = len(seq.terms)
     if not 0 <= i <= m - 1:
         raise IndexOutOfRange(f"derivation count {i} outside 0..{m - 1}")
-    row = next(itertools.islice(_rows(seq.terms, seq.modulus), i, None))
+    row = next(_rows(seq.terms, seq.modulus, skip=i))
     return Sequence._trusted(seq.modulus, tuple(row))
 
 

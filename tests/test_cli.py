@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from steinhaus import admissible_classes, alpha, brute_force_balanced
+from steinhaus import admissible_classes, alpha, brute_force_balanced, is_admissible
 from steinhaus.cli import run
 
 
@@ -92,11 +92,16 @@ def test_admissible_output(capsys):
 
 
 def test_admissible_json_matches_library(capsys):
-    for n in (7, 12, 30):
+    for n in (7, 12, 30, 720720):
         _, out, _ = invoke(capsys, "admissible", "--n", str(n), "--format", "json")
         payload = json.loads(out)
         ac = admissible_classes(n)
         assert payload == {"n": n, "period": ac.period, "classes": list(ac.residues)}
+        # below one period and across many (720720 has period 1441440)
+        for top in (0, 1, 5, 59, 60, 61, 150, 1000, 150000):
+            argv = ("admissible", "--n", str(n), "--max", str(top), "--format", "json")
+            lengths = json.loads(invoke(capsys, *argv)[1])["lengths"]
+            assert lengths == [m for m in range(1, top + 1) if is_admissible(n, m)], (n, top)
 
 
 def test_construct_text_and_json(capsys):

@@ -13,12 +13,15 @@ from steinhaus import (
     SearchBudget,
     SearchReport,
     Sequence,
+    UnsupportedLength,
+    alpha,
     brute_force_balanced,
     classify_even_progressions,
     is_admissible,
     is_balanced,
     molluzzo_probe,
 )
+from steinhaus.progressions import _construction
 from steinhaus.search import _pool_size, _scan_block, _within_budget
 
 
@@ -259,6 +262,21 @@ def test_probe_constructive_cases():
     assert molluzzo_probe(3, 27) is True
     assert molluzzo_probe(9, 18) is True
     assert molluzzo_probe(7, 21) is True
+
+
+def test_alpha_lengths_are_beta_lengths():
+    # why molluzzo_probe tries the beta family alone: beta(n) divides alpha(n)
+    def accepts(n, m, family):
+        try:
+            _construction(n, m, 1, family, None)
+        except UnsupportedLength:
+            return False
+        return True
+
+    for n in range(1, 200, 2):
+        for m in range(1, 2 * alpha(n) * n + 1):
+            if accepts(n, m, "alpha"):
+                assert accepts(n, m, "beta"), (n, m)
 
 
 def test_probe_falls_back_to_search():
