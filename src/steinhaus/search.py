@@ -5,10 +5,17 @@ walks the sequences of one length depth first, one term at a time, and keeps
 the residue counts of the prefix's triangle as it goes: appending a term adds
 one right-edge diagonal, so each node tallies that diagonal alone.  A prefix
 whose counts already pass m(m+1)/(2n) for some residue cannot be completed to
-a balanced sequence, and the subtree below it is skipped.  The candidate
-space splits by fixed prefixes into blocks that workers scan independently;
-blocks are merged in lexicographic order, so the report is identical for any
-worker count.
+a balanced sequence, and the subtree below it is skipped.
+
+The candidate space splits by fixed prefixes into blocks.  A count needs one
+sequence per orbit of the units of Z/nZ: multiplying every term by a unit u
+multiplies every entry of the triangle by u, which permutes the residue
+counts, so balance is kept.  Its blocks are the prefixes (0^j, g) with g a
+proper divisor of n, each weighted by the phi(n/g) first terms y with
+gcd(y, n) = g, plus the all-zero sequence.  A listing walks every prefix.
+With a worker pool the blocks are cut several times finer than the pool, so
+that uneven, pruned blocks still share out evenly; listing blocks are merged
+in lexicographic order, so the report is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,10 +28,14 @@ from functools import partial
 
 from .admissible import _target, is_admissible
 from .errors import BudgetExceeded, UnsupportedLength
+from .orders import totient
 from .progressions import ArithmeticProgression, _construction
-from .sequences import Sequence
+from .sequences import Sequence, is_balanced
 
 DEFAULT_MAX_STATES = 10**8
+
+# A pool's blocks are cut until there are this many per worker.
+_BLOCKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +111,7 @@ def _children(n: int, target: int, diagonal: list[int], counts: list[int]):
     return children
 
 
-def _scan_block(n: int, m: int, prefix, count_only: bool):
+def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
     """Find the balanced length-m sequences that start with `prefix`.
 
     Depth-first search from the empty sequence, terms tried in increasing
@@ -113,7 +124,8 @@ def _scan_block(n: int, m: int, prefix, count_only: bool):
     all stay within target and sum to n * target, so they are exactly the
     balanced completions.  A length that is not admissible has an empty
     block.  The nodes wait on an explicit stack, so the length is not bounded
-    by the recursion limit.
+    by the recursion limit.  With first_hit the walk stops at the first
+    length m - 1 prefix that has balanced completions, and returns those.
     """
     target = _target(n, m)
     if target is None:
@@ -141,7 +153,38 @@ def _scan_block(n: int, m: int, prefix, count_only: bool):
             for extended, _ in reversed(children):
                 terms[-1] = extended[0]
                 found.append(tuple(terms))
+        if first_hit and count:
+            break
     return found, count
+
+
+def _blocks(n: int, m: int, k: int, count_only: bool):
+    """(prefix, weight) pairs whose weighted block counts sum to the count.
+
+    Listing blocks are the prefixes of length k, in lexicographic order.
+    Count-only blocks are (0^j, g, rest), g a proper divisor of n with
+    weight phi(n/g) and rest any k - j - 1 terms, plus the all-zero sequence.
+    """
+    if not count_only:
+        return [(p, 1) for p in itertools.product(range(n), repeat=k)]
+    divisors = [(g, totient(n // g)) for g in range(1, n) if n % g == 0]
+    blocks = [
+        ((0,) * j + (g,) + rest, weight)
+        for j in range(m)
+        for g, weight in divisors
+        for rest in itertools.product(range(n), repeat=max(k - j - 1, 0))
+    ]
+    blocks.append(((0,) * m, 1))
+    return blocks
+
+
+def _witness(n: int, m: int) -> tuple[int, ...] | None:
+    """The first balanced sequence the count-only blocks lead to, if any."""
+    for prefix, _ in _blocks(n, m, 0, count_only=True):
+        found, _ = _scan_block(n, m, prefix, False, first_hit=True)
+        if found:
+            return found[0]
+    return None
 
 
 def brute_force_balanced(
@@ -153,8 +196,12 @@ def brute_force_balanced(
     The search is depth first and prunes every prefix whose triangle already
     holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
     length that is not admissible has no balanced sequence and is answered
-    at once.  states_examined is n^m, the size of the space covered, however
-    much of it was pruned.  found is sorted lexicographically and is empty in
+    at once.  In count_only mode one sequence per orbit of the units is
+    walked and weighted by its orbit's size (see _blocks).  With more than
+    one worker the blocks are prefixes of the least length k, up to m, with
+    n^k >= 4 * workers, handed to a process pool.  states_examined is n^m,
+    the size of the space covered, however much of it was pruned or skipped
+    by symmetry.  found is sorted lexicographically and is empty in
     count_only mode.
     """
     if n < 1 or m < 1:
@@ -167,12 +214,10 @@ def brute_force_balanced(
     if not is_admissible(n, m):
         return SearchReport(n, m, (), 0, states)
     workers = _pool_size(budget.workers, states)
-    # Prefix length just large enough that there is at least one block per
-    # worker; every block is then a contiguous lexicographic range.
     k = 0
-    while n**k < workers:
+    while workers > 1 and k < m and n**k < _BLOCKS_PER_WORKER * workers:
         k += 1
-    prefixes = list(itertools.product(range(n), repeat=k))
+    prefixes, weights = zip(*_blocks(n, m, k, count_only))
     scan = partial(_scan_block, n, m, count_only=count_only)
     if workers == 1:
         blocks = [scan(p) for p in prefixes]
@@ -182,7 +227,8 @@ def brute_force_balanced(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
     found = tuple(Sequence(n, t) for block_found, _ in blocks for t in block_found)
-    return SearchReport(n, m, found, sum(count for _, count in blocks), states)
+    count = sum(w * c for w, (_, c) in zip(weights, blocks))
+    return SearchReport(n, m, found, count, states)
 
 
 def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticProgression]:
@@ -221,9 +267,10 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
     """Whether any balanced sequence of admissible length m exists mod n.
 
     For odd n, tries the beta progression construction first; otherwise, or
-    when it does not cover m, counts the balanced sequences by exhaustive
-    search when n^m fits the budget.  Raises BudgetExceeded when neither
-    route settles the question.
+    when it does not cover m, searches the count-only blocks when n^m fits
+    the budget and stops at the first balanced sequence, which is checked
+    with is_balanced.  Raises BudgetExceeded when neither route settles the
+    question.
     """
     if not is_admissible(n, m):
         raise ValueError(
@@ -239,8 +286,10 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
         except UnsupportedLength:
             pass
     if _within_budget(n, m, budget.max_states):
-        report = brute_force_balanced(n, m, budget, count_only=True)
-        return report.count > 0
+        witness = _witness(n, m)
+        if witness is not None and not is_balanced(Sequence(n, witness)):
+            raise AssertionError(f"search returned an unbalanced witness {witness}")
+        return witness is not None
     raise BudgetExceeded(
         f"no construction applies and {n}^{m} states exceed the budget of {budget.max_states}"
     )

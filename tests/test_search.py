@@ -1,6 +1,8 @@
 """Tests for exhaustive search, even-modulus classification, and probing."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from steinhaus import (
     molluzzo_probe,
 )
 from steinhaus.progressions import _construction
-from steinhaus.search import _pool_size, _scan_block, _within_budget
+from steinhaus.search import _pool_size, _scan_block, _witness, _within_budget
 
 
 def seqs(n, rows):
@@ -166,6 +168,43 @@ def test_search_matches_odometer_exhaustively(n):
             assert brute_force_balanced(n, m, budget, count_only=True) == counting
 
 
+@pytest.mark.parametrize("n, m, count", [(4, 8, 300), (6, 8, 532), (5, 9, 1284)])
+def test_orbit_count_matches_listing(n, m, count):
+    # a listing walks every sequence, so it shares no symmetry with the count
+    assert brute_force_balanced(n, m, count_only=True).count == count
+    assert len(brute_force_balanced(n, m).found) == count
+
+
+def test_worker_count_does_not_change_uneven_blocks():
+    # mod 6 has three divisor first terms, so the pool's blocks differ widely
+    for count_only in (False, True):
+        serial = brute_force_balanced(6, 8, count_only=count_only)
+        parallel = brute_force_balanced(6, 8, SearchBudget(workers=2), count_only=count_only)
+        assert parallel == serial
+
+
+SPAWN_CHILD = """
+import multiprocessing
+from steinhaus import SearchBudget, brute_force_balanced
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    pool = SearchBudget(workers=2)
+    assert brute_force_balanced(3, 8, pool, count_only=True).count == 190
+    assert brute_force_balanced(3, 8, pool) == brute_force_balanced(3, 8)
+    print("ok")
+"""
+
+
+def test_pool_blocks_survive_spawn():
+    # spawn (and forkserver) workers receive their blocks pickled
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_CHILD], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 @st.composite
 def search_blocks(draw):
     """(n, m, prefix) with at most a few thousand suffixes after the prefix."""
@@ -284,6 +323,26 @@ def test_probe_falls_back_to_search():
     assert molluzzo_probe(2, 4) is True
     # admissible for mod 5 but not covered by any construction
     assert molluzzo_probe(5, 4) is True
+
+
+def test_first_hit_finds_a_witness_exactly_when_one_exists():
+    # every admissible (n, m) with n^m <= 5 * 10^4, n = 1 up to m = 16
+    for m in range(1, 17):
+        for n in range(1, m * (m + 1) // 2 + 1):
+            if n**m > 5 * 10**4 or not is_admissible(n, m):
+                continue
+            _, count = odometer_block(n, m, (), True)
+            witness = _witness(n, m)
+            assert (witness is not None) == (count > 0), (n, m)
+            if witness is not None:
+                assert is_balanced(Sequence(n, witness)), (n, m)
+            assert molluzzo_probe(n, m) == (count > 0), (n, m)
+
+
+def test_probe_stops_at_first_witness():
+    # 4^15 states: a full count does not finish in minutes, the first hit
+    # comes after a few thousand nodes
+    assert molluzzo_probe(4, 15, budget=SearchBudget(max_states=4**15)) is True
 
 
 def test_probe_rejects_non_admissible():
