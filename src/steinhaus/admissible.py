@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
+from ._value import _set, _Value
 from .errors import EvenModulus
 from .orders import beta, factorize, invert, omega
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissibleClasses:
+class AdmissibleClasses(_Value):
     """The admissible lengths mod n, as residue classes of a fixed period."""
 
-    period: int
-    residues: tuple[int, ...]
+    __slots__ = ("period", "residues")
+
+    def __init__(self, period: int, residues: tuple[int, ...]):
+        _set(self, "period", period)
+        _set(self, "residues", residues)
 
     def __contains__(self, m: int) -> bool:
         return m % self.period in self.residues
@@ -75,12 +76,13 @@ def is_admissible(n: int, m: int) -> bool:
     return _target(n, m) is not None
 
 
-def coverage_fraction(n: int) -> Fraction:
+def coverage_fraction(n: int):
     """Share of admissible classes settled by the progression constructions.
 
     For odd n >= 3 the constructions reach 1 in 2^(omega(n)-1) * beta(n) of
-    the admissible classes, returned as an exact rational.
+    the admissible classes, as a fractions.Fraction (imported on first use).
     """
+    from fractions import Fraction
     if n % 2 == 0:
         raise EvenModulus(f"coverage applies to odd moduli, got {n}")
     if n < 3:

@@ -6,34 +6,21 @@ names are stable for scripting.  Exit status: 0 on success, 1 on usage
 errors, 2 on domain errors, whose class name appears in the diagnostic, 3 on
 internal errors, with the traceback on stderr, and 141 (128 + SIGPIPE) when
 stdout is closed before the output is written.
+
+Each call is a fresh process, so start-up counts.  A handler imports the
+library module it runs when it is called, json is imported only for JSON
+output, and the package namespace is lazy (see steinhaus/__init__.py), so a
+call loads little beyond argparse and what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .admissible import admissible_classes
-from .errors import SteinhausError
+from .errors import DEFAULT_MAX_STATES, SteinhausError
 from .orders import alpha, beta
-from .progressions import _construction
-from .search import (
-    DEFAULT_MAX_STATES,
-    SearchBudget,
-    brute_force_balanced,
-    classify_even_progressions,
-    molluzzo_probe,
-)
-from .sequences import (
-    Sequence,
-    Triangle,
-    derive,
-    derive_iterated,
-    multiplicities,
-    triangle,
-)
 
 MAX_STATES_ENV = "STEINHAUS_MAX_STATES"
 
@@ -45,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def render_triangle(t: Triangle) -> str:
-    """Center the rows under each other, the way the triangle is drawn."""
+def render_triangle(t) -> str:
+    """Center the rows of Triangle t under each other, the way it is drawn."""
     n, m = t.modulus, t.height
     width = max(len(str(n - 1)), 1)
     # Each cell is formatted once per residue; when the residues outnumber
@@ -66,8 +53,9 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _budget(args, workers: int = 1) -> SearchBudget:
-    """Caps from --max-states, else $STEINHAUS_MAX_STATES, else the default."""
+def _budget(args, workers: int = 1):
+    """The SearchBudget: --max-states, else $STEINHAUS_MAX_STATES, else the default."""
+    from .search import SearchBudget
     max_states = args.max_states
     if max_states is None:
         max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
@@ -81,18 +69,21 @@ def _verdict(mv) -> tuple[dict, str]:
 
 
 def _cmd_triangle(args):
+    from .sequences import Sequence, triangle
     t = triangle(Sequence.from_text(args.n, args.seq))
     payload = {"n": t.modulus, "m": t.height, "rows": [list(r.terms) for r in t.rows]}
     return payload, render_triangle(t) if args.format == "text" else None
 
 
 def _cmd_derive(args):
+    from .sequences import Sequence, derive, derive_iterated
     seq = Sequence.from_text(args.n, args.seq)
     out = derive(seq) if args.i == 1 else derive_iterated(seq, args.i)
     return {"n": out.modulus, "m": len(out), "seq": list(out.terms)}, out.to_text()
 
 
 def _cmd_balanced(args):
+    from .sequences import Sequence, multiplicities
     seq = Sequence.from_text(args.n, args.seq)
     fields, counts = _verdict(multiplicities(seq))
     payload = {"n": seq.modulus, "m": len(seq), **fields}
@@ -106,6 +97,7 @@ def _cmd_order(args):
 
 
 def _cmd_admissible(args):
+    from .admissible import admissible_classes
     ac = admissible_classes(args.n)
     payload = {"n": args.n, "period": ac.period, "classes": list(ac.residues)}
     lines = [f"period: {ac.period}", f"classes: {_csv(ac.residues)}"]
@@ -121,6 +113,7 @@ def _cmd_admissible(args):
 
 
 def _cmd_construct(args):
+    from .progressions import _construction
     ap = _construction(args.n, args.m, args.d, args.family, args.a)
     seq = ap.to_sequence()
     fields, counts = _verdict(ap.multiplicities())
@@ -129,6 +122,7 @@ def _cmd_construct(args):
 
 
 def _cmd_search(args):
+    from .search import brute_force_balanced
     budget = _budget(args, args.workers)
     report = brute_force_balanced(args.n, args.m, budget, count_only=args.count_only)
     payload = {
@@ -144,6 +138,7 @@ def _cmd_search(args):
 
 
 def _cmd_classify_even(args):
+    from .search import classify_even_progressions
     aps = classify_even_progressions(args.n, args.max_m)
     seqs = [ap.to_sequence() for ap in aps]
     payload = {"n": args.n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
@@ -155,6 +150,7 @@ def _cmd_classify_even(args):
 
 
 def _cmd_probe(args):
+    from .search import molluzzo_probe
     exists = molluzzo_probe(args.n, args.m, _budget(args))
     return {"n": args.n, "m": args.m, "balanced": exists}, "yes" if exists else "no"
 
@@ -234,8 +230,12 @@ def run(argv=None) -> int:
 
         traceback.print_exc()
         return 3
+    if args.format == "json":
+        import json
+
+        text = json.dumps(payload, separators=(",", ":"))
     try:
-        print(json.dumps(payload, separators=(",", ":")) if args.format == "json" else text)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone.  Point stdout at devnull so that the flush at

@@ -43,3 +43,7 @@ class UnsupportedLength(SteinhausError):
 
 class BudgetExceeded(SteinhausError):
     """The state space is larger than the search budget allows."""
+
+
+# A search's default state cap; kept here so that the CLI's --help needs no search.py.
+DEFAULT_MAX_STATES = 10**8

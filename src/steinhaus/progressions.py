@@ -8,9 +8,9 @@ or alpha(n)*n, or one less) make the triangle balanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._value import _set, _Value
 from .admissible import _target
 from .errors import EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength
 from .orders import alpha, beta
@@ -44,23 +44,23 @@ def _progression_tally(
     return counts
 
 
-@dataclass(frozen=True, slots=True)
-class ArithmeticProgression:
+class ArithmeticProgression(_Value):
     """start, start + step, ..., with `length` terms, all mod `modulus`."""
 
-    modulus: int
-    start: int
-    step: int
-    length: int
+    __slots__ = ("modulus", "start", "step", "length")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if self.length < 1:
-            raise ValueError(f"length must be positive, got {self.length}")
-        for value in (self.start, self.step):
-            if not 0 <= value < self.modulus:
-                raise ValueError(f"{value} is not a residue mod {self.modulus}")
+    def __init__(self, modulus: int, start: int, step: int, length: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if length < 1:
+            raise ValueError(f"length must be positive, got {length}")
+        for value in (start, step):
+            if not 0 <= value < modulus:
+                raise ValueError(f"{value} is not a residue mod {modulus}")
+        _set(self, "modulus", modulus)
+        _set(self, "start", start)
+        _set(self, "step", step)
+        _set(self, "length", length)
 
     def to_sequence(self) -> Sequence:
         n = self.modulus

@@ -23,44 +23,45 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from functools import partial
 
+from ._value import _set, _Value
 from .admissible import _target, is_admissible
-from .errors import BudgetExceeded, UnsupportedLength
+from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength
 from .orders import totient
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence, is_balanced
-
-DEFAULT_MAX_STATES = 10**8
 
 # A pool's blocks are cut until there are this many per worker.
 _BLOCKS_PER_WORKER = 4
 
 
-@dataclass(frozen=True, slots=True)
-class SearchBudget:
+class SearchBudget(_Value):
     """Caps for an exhaustive search: total states and worker processes."""
 
-    max_states: int = DEFAULT_MAX_STATES
-    workers: int = 1
+    __slots__ = ("max_states", "workers")
 
-    def __post_init__(self):
-        if self.max_states < 1:
-            raise ValueError(f"max_states must be positive, got {self.max_states}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+    def __init__(self, max_states: int = DEFAULT_MAX_STATES, workers: int = 1):
+        if max_states < 1:
+            raise ValueError(f"max_states must be positive, got {max_states}")
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
+        _set(self, "max_states", max_states)
+        _set(self, "workers", workers)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchReport:
+class SearchReport(_Value):
     """Outcome of one exhaustive scan over all sequences of one length."""
 
-    modulus: int
-    length: int
-    found: tuple[Sequence, ...]
-    count: int
-    states_examined: int
+    __slots__ = ("modulus", "length", "found", "count", "states_examined")
+
+    def __init__(self, modulus: int, length: int, found: tuple[Sequence, ...],
+                 count: int, states_examined: int):
+        _set(self, "modulus", modulus)
+        _set(self, "length", length)
+        _set(self, "found", found)
+        _set(self, "count", count)
+        _set(self, "states_examined", states_examined)
 
 
 def _within_budget(n: int, m: int, max_states: int) -> bool:

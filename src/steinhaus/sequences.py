@@ -21,30 +21,30 @@ per term.  Rows of one-byte lanes come out as bytes, wider ones as tuples.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
+from ._value import _set, _Value
 from .admissible import _target
 from .errors import IndexOutOfRange, LengthTooShort, NotADivisor
 
 
-@dataclass(frozen=True, slots=True)
-class Sequence:
+class Sequence(_Value):
     """A nonempty tuple of residues together with its modulus."""
 
-    modulus: int
-    terms: tuple[int, ...]
+    __slots__ = ("modulus", "terms")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not isinstance(self.terms, tuple):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        if len(self.terms) == 0:
+    def __init__(self, modulus: int, terms: tuple[int, ...]):
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        if not isinstance(terms, tuple):
+            terms = tuple(terms)
+        if not terms:
             raise ValueError("a sequence needs at least one term")
-        for t in self.terms:
-            if not 0 <= t < self.modulus:
-                raise ValueError(f"{t} is not a residue mod {self.modulus}")
+        for t in terms:
+            if not 0 <= t < modulus:
+                raise ValueError(f"{t} is not a residue mod {modulus}")
+        _set(self, "modulus", modulus)
+        _set(self, "terms", terms)
 
     @classmethod
     def reduce(cls, modulus: int, values) -> "Sequence":
@@ -66,8 +66,8 @@ class Sequence:
     def _trusted(cls, modulus: int, terms: tuple[int, ...]) -> "Sequence":
         """A sequence of terms already known to be residues mod `modulus`."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "modulus", modulus)
-        object.__setattr__(seq, "terms", terms)
+        _set(seq, "modulus", modulus)
+        _set(seq, "terms", terms)
         return seq
 
     def to_text(self) -> str:
@@ -80,23 +80,23 @@ class Sequence:
         return iter(self.terms)
 
 
-@dataclass(frozen=True, slots=True)
-class Triangle:
+class Triangle(_Value):
     """All rows of a Steinhaus triangle, top row first."""
 
-    rows: tuple[Sequence, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: tuple[Sequence, ...]):
+        if not rows:
             raise ValueError("a triangle needs at least one row")
-        n = self.rows[0].modulus
-        for k, row in enumerate(self.rows):
+        n = rows[0].modulus
+        for k, row in enumerate(rows):
             if row.modulus != n:
                 raise ValueError("rows mix moduli")
-            if len(row) != len(self.rows[0]) - k:
+            if len(row) != len(rows[0]) - k:
                 raise ValueError("row lengths must shrink by one per row")
-        if len(self.rows[-1]) != 1:
+        if len(rows[-1]) != 1:
             raise ValueError("the last row must be a single entry")
+        _set(self, "rows", rows)
 
     @property
     def modulus(self) -> int:
@@ -120,16 +120,16 @@ class Triangle:
             yield from row.terms
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplicityVector:
+class MultiplicityVector(_Value):
     """Occurrence counts of the residues 0..n-1 among triangle entries."""
 
-    modulus: int
-    counts: tuple[int, ...]
+    __slots__ = ("modulus", "counts")
 
-    def __post_init__(self):
-        if len(self.counts) != self.modulus:
+    def __init__(self, modulus: int, counts: tuple[int, ...]):
+        if len(counts) != modulus:
             raise ValueError("need exactly one count per residue")
+        _set(self, "modulus", modulus)
+        _set(self, "counts", counts)
 
     def total(self) -> int:
         return sum(self.counts)
