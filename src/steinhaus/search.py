@@ -5,7 +5,10 @@ walks the sequences of one length depth first, one term at a time, and keeps
 the residue counts of the prefix's triangle as it goes: appending a term adds
 one right-edge diagonal, so each node tallies that diagonal alone.  A prefix
 whose counts already pass m(m+1)/(2n) for some residue cannot be completed to
-a balanced sequence, and the subtree below it is skipped.
+a balanced sequence, and the subtree below it is skipped.  For n = 2 the
+diagonal is one int, a bit per entry: addition mod 2 is XOR and a count is a
+popcount, so a child's diagonal and its number of ones take a few word-wide
+shifts instead of a loop over the entries (see _scan_block).
 
 The candidate space splits by fixed prefixes into blocks.  A count needs one
 sequence per orbit of the units of Z/nZ: multiplying every term by a unit u
@@ -87,12 +90,12 @@ def _children(n: int, target: int, diagonal: list[int], counts: list[int]):
     """The children of a prefix that stay within target, last term first.
 
     Appending x to a prefix whose right-edge diagonal is p_1..p_k adds the
-    diagonal d_1 = x, d_i = p_{i-1} + d_{i-1} to its triangle.  Returns
-    (that diagonal, the counts it leaves) for each x, in decreasing order,
-    that pushes no residue count past target; the child's last term is the
-    diagonal's first entry, and its length the diagonal's length.
+    diagonal d_1 = x, d_i = p_{i-1} + d_{i-1} to its triangle.  Returns the
+    node (k + 1, x, that diagonal, the counts it leaves) for each x, in
+    decreasing order, that pushes no residue count past target.
     """
     children = []
+    depth = len(diagonal) + 1
     for x in range(n - 1, -1, -1):
         if counts[x] == target:
             continue
@@ -108,7 +111,7 @@ def _children(n: int, target: int, diagonal: list[int], counts: list[int]):
             child[d] = c
             extended.append(d)
         else:
-            children.append((extended, child))
+            children.append((depth, x, extended, child))
     return children
 
 
@@ -116,11 +119,19 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     """Find the balanced length-m sequences that start with `prefix`.
 
     Depth-first search from the empty sequence, terms tried in increasing
-    order, so hits come out in lexicographic order.  Each node carries the
-    right-edge diagonal and the residue counts of its prefix's triangle, and
-    _children is the one rule that extends it: a child whose diagonal pushes
-    a count past target = m(m+1)/(2n) is pruned with its whole subtree.  At
-    each depth inside `prefix` only the child with the prefix's term is kept.
+    order, so hits come out in lexicographic order.  A node is (depth, last
+    term, right-edge diagonal, tally) for a prefix of that length, and one
+    child rule extends it: a child whose diagonal pushes a residue count past
+    target = m(m+1)/(2n) is pruned with its whole subtree.  For n != 2 the
+    diagonal is a list and the tally the list of residue counts, extended by
+    _children.  For n = 2 the diagonal d_1..d_k is an int, d_i in bit i - 1,
+    and the tally is the number of ones.  Child x's diagonal is
+    x, x + d_1, x + d_1 + d_2, ...: the prefix XOR S of d, taken by doubling
+    (S ^= S << 1, << 2, << 4, ...), shifted up a bit and, for x = 1, flipped
+    in all k + 1 bits.  Its ones are the tally plus that diagonal's
+    popcount, and its zeros the (k + 1)(k + 2)/2 entries of its triangle
+    minus its ones.  At each depth inside `prefix` only the child with the
+    prefix's term is kept.
     The children of a length m - 1 prefix are full sequences whose counts
     all stay within target and sum to n * target, so they are exactly the
     balanced completions.  A length that is not admissible has an empty
@@ -134,25 +145,42 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     terms = [0] * m
     found = []
     count = 0
-    # Prefixes still to visit, as (diagonal, counts).  Each node's children
-    # are pushed in decreasing order, so the next one popped extends a prefix
-    # that terms[:depth - 1] still holds.
-    pending = [([], [0] * n)]
+    # Prefixes still to visit.  Each node's children are pushed in decreasing
+    # order, so the next one popped extends a prefix that terms[:depth - 1]
+    # still holds.
+    binary = n == 2
+    pending = [(0, 0, 0, 0)] if binary else [(0, 0, [], [0] * n)]
     while pending:
-        diagonal, counts = pending.pop()
-        depth = len(diagonal)
+        depth, last, diagonal, tally = pending.pop()
         if depth:
-            terms[depth - 1] = diagonal[0]
-        children = _children(n, target, diagonal, counts)
+            terms[depth - 1] = last
+        if binary:
+            shift = 1
+            while shift < depth:
+                diagonal ^= diagonal << shift
+                shift <<= 1
+            full = (2 << depth) - 1
+            zero = (diagonal << 1) & full
+            tally0 = tally + zero.bit_count()
+            tally1 = 2 * tally + depth + 1 - tally0
+            # a child keeps at most target ones and at most target zeros
+            low = (depth + 1) * (depth + 2) // 2 - target
+            children = []
+            if low <= tally1 <= target:
+                children.append((depth + 1, 1, zero ^ full, tally1))
+            if low <= tally0 <= target:
+                children.append((depth + 1, 0, zero, tally0))
+        else:
+            children = _children(n, target, diagonal, tally)
         if depth < len(prefix):
-            children = [c for c in children if c[0][0] == prefix[depth]]
+            children = [c for c in children if c[1] == prefix[depth]]
         if depth < m - 1:
             pending.extend(children)
             continue
         count += len(children)
         if not count_only:
-            for extended, _ in reversed(children):
-                terms[-1] = extended[0]
+            for child in reversed(children):
+                terms[-1] = child[1]
                 found.append(tuple(terms))
         if first_hit and count:
             break
@@ -227,7 +255,7 @@ def brute_force_balanced(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
-    found = tuple(Sequence(n, t) for block_found, _ in blocks for t in block_found)
+    found = tuple(Sequence._trusted(n, t) for block_found, _ in blocks for t in block_found)
     count = sum(w * c for w, (_, c) in zip(weights, blocks))
     return SearchReport(n, m, found, count, states)
 

@@ -234,6 +234,34 @@ def test_scan_block_matches_odometer(case):
         assert _scan_block(n, m, prefix, count_only) == odometer_block(n, m, prefix, count_only)
 
 
+# a balanced sequence mod 2 of length 35 (the first one _witness finds)
+BALANCED_35 = (1,) + (0,) * 16 + (1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_blocks())
+@example((2, 35, BALANCED_35[:24]))  # diagonals of up to 35 bits, past one 30-bit digit
+@example((2, 35, BALANCED_35))
+@example((2, 12, (1, 1)))  # hits in more than one length m - 1 prefix
+def test_scan_block_first_hit_matches_odometer(case):
+    n, m, prefix = case
+    hits, count = odometer_block(n, m, prefix, False)
+    assert _scan_block(n, m, prefix, False) == (hits, count)
+    assert _scan_block(n, m, prefix, True) == ([], count)
+    # the first hit's length m - 1 prefix, with all its balanced completions
+    first = [hit for hit in hits if hit[: m - 1] == hits[0][: m - 1]]
+    assert _scan_block(n, m, prefix, False, first_hit=True) == (first, len(first))
+    assert _scan_block(n, m, prefix, True, first_hit=True) == ([], len(first))
+
+
+def test_binary_counts_past_the_acceptance_table():
+    assert is_balanced(Sequence(2, BALANCED_35))
+    # two independent rules agree on these counts: the word-parallel one
+    # that n = 2 runs, and the list rule _children run on n = 2
+    assert brute_force_balanced(2, 19, count_only=True).count == 32757
+    assert brute_force_balanced(2, 20, count_only=True).count == 59984
+
+
 def test_brute_force_matches_direct_filter():
     from itertools import product
 
