@@ -6,14 +6,12 @@ m = 0 or m = -1 for each odd prime power in n (mod 2^(v+1) for the prime 2),
 and the choices combine independently by the Chinese remainder theorem.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
 from ._value import _set, _Value
 from .errors import EvenModulus
-from .orders import beta, factorize, invert, omega
+from .orders import beta, factorize, omega
 
 
 class AdmissibleClasses(_Value):
@@ -29,21 +27,6 @@ class AdmissibleClasses(_Value):
         return m % self.period in self.residues
 
 
-def solve_congruences(pairs) -> tuple[int, int]:
-    """Solve x = r (mod q) for all (r, q) with pairwise coprime moduli q.
-
-    Returns (x, M) with 0 <= x < M and M the product of the moduli.
-    """
-    x, modulus = 0, 1
-    for r, q in pairs:
-        if q < 1:
-            raise ValueError(f"moduli must be positive, got {q}")
-        t = (r - x) * invert(modulus, q) % q
-        x += modulus * t
-        modulus *= q
-    return x % modulus, modulus
-
-
 def admissible_classes(n: int) -> AdmissibleClasses:
     """All classes of lengths m with n | m(m+1)/2.
 
@@ -53,11 +36,12 @@ def admissible_classes(n: int) -> AdmissibleClasses:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     moduli = [p ** (e + 1) if p == 2 else p ** e for p, e in factorize(n)]
-    residues = []
-    for choice in itertools.product((0, -1), repeat=len(moduli)):
-        x, _ = solve_congruences([(c % q, q) for c, q in zip(choice, moduli)])
-        residues.append(x)
-    return AdmissibleClasses(math.prod(moduli), tuple(sorted(residues)))
+    period = math.prod(moduli)
+    # With P the period, e_q = (P/q)((P/q)^-1 mod q) is 1 mod q and 0 mod the
+    # other moduli, so minus a sum of some e_q is -1 mod those q, 0 mod the rest.
+    basis = [(0, period // q * pow(period // q, -1, q)) for q in moduli]
+    residues = sorted(-sum(chosen) % period for chosen in itertools.product(*basis))
+    return AdmissibleClasses(period, tuple(residues))
 
 
 def _target(n: int, m: int) -> int | None:

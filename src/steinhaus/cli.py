@@ -13,8 +13,6 @@ output, and the package namespace is lazy (see steinhaus/__init__.py), so a
 call loads little beyond argparse and what its subcommand needs.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys

@@ -7,8 +7,6 @@ length is a multiple (or one less than a multiple) of alpha(n)*n or
 beta(n)*n.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd
 

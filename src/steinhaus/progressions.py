@@ -6,8 +6,6 @@ When the step is a unit mod odd n, suitable lengths (multiples of beta(n)*n
 or alpha(n)*n, or one less) make the triangle balanced.
 """
 
-from __future__ import annotations
-
 from math import gcd
 
 from ._value import _set, _Value

@@ -21,10 +21,7 @@ that uneven, pruned blocks still share out evenly; listing blocks are merged
 in lexicographic order, so the report is identical for any worker count.
 """
 
-from __future__ import annotations
-
 import itertools
-import math
 import os
 from functools import partial
 
@@ -70,13 +67,11 @@ class SearchReport(_Value):
 def _within_budget(n: int, m: int, max_states: int) -> bool:
     """Whether n**m <= max_states.
 
-    A length that clearly overshoots, by more than one bit of m*log2(n), is
-    turned down without building n**m, which for a huge m would take minutes
-    and gigabytes; only near the boundary are the integers compared.
+    n**m >= 2**k with k = m * (n.bit_length() - 1), so a length with
+    k >= max_states.bit_length() is turned down without building n**m, which
+    for a huge m would take minutes and gigabytes; otherwise n**m is compared.
     """
-    if n > 1 and (
-        m > max_states.bit_length() or m * math.log2(n) > math.log2(max_states) + 1
-    ):
+    if m * (n.bit_length() - 1) >= max_states.bit_length():
         return False
     return n**m <= max_states
 
@@ -221,7 +216,8 @@ def brute_force_balanced(
 ) -> SearchReport:
     """Report the balanced sequences among all n^m sequences of length m.
 
-    Raises BudgetExceeded before any work if n^m exceeds budget.max_states.
+    Raises BudgetExceeded before any work if n^m exceeds budget.max_states,
+    or if the m(m+1)/2 entries of a triangle do, which n = 1 alone can reach.
     The search is depth first and prunes every prefix whose triangle already
     holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
     length that is not admissible has no balanced sequence and is answered
@@ -239,6 +235,8 @@ def brute_force_balanced(
         budget = SearchBudget()
     if not _within_budget(n, m, budget.max_states):
         raise BudgetExceeded(f"{n}^{m} states exceed the budget of {budget.max_states}")
+    if m * (m + 1) // 2 > budget.max_states:
+        raise BudgetExceeded(f"{m}*{m + 1}/2 entries exceed the budget of {budget.max_states}")
     states = n**m
     if not is_admissible(n, m):
         return SearchReport(n, m, (), 0, states)

@@ -18,8 +18,6 @@ least n, which picks out the lanes that need n subtracted, with no branch
 per term.  Rows of one-byte lanes come out as bytes, wider ones as tuples.
 """
 
-from __future__ import annotations
-
 import sys
 from collections.abc import Iterator
 

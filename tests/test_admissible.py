@@ -11,16 +11,6 @@ from steinhaus import (
     is_admissible,
     omega,
 )
-from steinhaus.admissible import solve_congruences
-
-
-def test_solve_congruences():
-    assert solve_congruences([(2, 3), (3, 5)]) == (8, 15)
-    assert solve_congruences([]) == (0, 1)
-    assert solve_congruences([(5, 7)]) == (5, 7)
-    assert solve_congruences([(-1, 4), (0, 25)]) == (75, 100)
-    with pytest.raises(ValueError):
-        solve_congruences([(0, 0)])
 
 
 def test_admissible_classes_paper_values():

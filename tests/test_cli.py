@@ -274,6 +274,7 @@ def test_closed_stdout_exits_quietly():
     [
         ["search", "--n", "3", "--m", "1000000000"],
         ["probe", "--n", "4", "--m", "1000000000"],
+        ["search", "--n", "1", "--m", "100000"],
     ],
 )
 def test_huge_length_fails_fast(argv):

@@ -367,6 +367,14 @@ def test_first_hit_finds_a_witness_exactly_when_one_exists():
             assert molluzzo_probe(n, m) == (count > 0), (n, m)
 
 
+def test_probe_says_no_where_no_sequence_exists():
+    # (15, 5) is admissible, with one entry per residue, yet the odometer
+    # finds no balanced sequence among all 15^5
+    assert odometer_block(15, 5, (), True) == ([], 0)
+    assert _witness(15, 5) is None
+    assert molluzzo_probe(15, 5) is False
+
+
 def test_probe_stops_at_first_witness():
     # 4^15 states: a full count does not finish in minutes, the first hit
     # comes after a few thousand nodes

@@ -46,6 +46,8 @@ def test_calls_load_only_their_modules():
     assert alpha <= balanced <= search
     # The value classes are built without dataclasses.
     assert "dataclasses" not in search
+    # Annotations are evaluated as written, not postponed.
+    assert "__future__" not in search
     # Text output needs neither json nor fractions.
     assert not {"json", "fractions"} & search
     # alpha needs the order functions alone.
