@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import DEFAULT_MAX_STATES, SteinhausError
+from .errors import DEFAULT_MAX_STATES, BudgetExceeded, SteinhausError
 from .orders import alpha, beta
 
 MAX_STATES_ENV = "STEINHAUS_MAX_STATES"
@@ -51,13 +51,28 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _budget(args, workers: int = 1):
-    """The SearchBudget: --max-states, else $STEINHAUS_MAX_STATES, else the default."""
-    from .search import SearchBudget
-    max_states = args.max_states
+def _max_states(args) -> int:
+    """--max-states where the command has it, else $STEINHAUS_MAX_STATES, else the default."""
+    max_states = getattr(args, "max_states", None)
     if max_states is None:
         max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
-    return SearchBudget(max_states=max_states, workers=workers)
+    return max_states
+
+
+def _budget(args, workers: int = 1):
+    """The SearchBudget of a search or probe."""
+    from .search import SearchBudget
+    return SearchBudget(max_states=_max_states(args), workers=workers)
+
+
+def _sequence(args):
+    """The --seq sequence, refused when its triangle's m(m+1)/2 entries pass the cap."""
+    from .sequences import Sequence
+    seq = Sequence.from_text(args.n, args.seq)
+    m, cap = len(seq), _max_states(args)
+    if m * (m + 1) // 2 > cap:
+        raise BudgetExceeded(f"{m}*{m + 1}/2 entries exceed the budget of {cap}")
+    return seq
 
 
 def _verdict(mv) -> tuple[dict, str]:
@@ -67,8 +82,8 @@ def _verdict(mv) -> tuple[dict, str]:
 
 
 def _cmd_triangle(args):
-    from .sequences import Sequence, triangle
-    t = triangle(Sequence.from_text(args.n, args.seq))
+    from .sequences import triangle
+    t = triangle(_sequence(args))
     payload = {"n": t.modulus, "m": t.height, "rows": [list(r.terms) for r in t.rows]}
     return payload, render_triangle(t) if args.format == "text" else None
 
@@ -81,8 +96,8 @@ def _cmd_derive(args):
 
 
 def _cmd_balanced(args):
-    from .sequences import Sequence, multiplicities
-    seq = Sequence.from_text(args.n, args.seq)
+    from .sequences import multiplicities
+    seq = _sequence(args)
     fields, counts = _verdict(multiplicities(seq))
     payload = {"n": seq.modulus, "m": len(seq), **fields}
     return payload, f"balanced: {'yes' if fields['balanced'] else 'no'}\n{counts}"

@@ -42,7 +42,7 @@ class UnsupportedLength(SteinhausError):
 
 
 class BudgetExceeded(SteinhausError):
-    """The state space is larger than the search budget allows."""
+    """The work asked for is larger than its budget allows."""
 
 
 # A search's default state cap; kept here so that the CLI's --help needs no search.py.

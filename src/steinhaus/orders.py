@@ -10,17 +10,29 @@ beta(n)*n.
 from functools import lru_cache
 from math import gcd
 
-from .errors import EvenModulus, NotCoprime
+from .errors import BudgetExceeded, EvenModulus, NotCoprime
+
+
+# Trial division stops here: about 5 * 10^5 divisions, so every n <= 10^12
+# (and every n whose cofactor past the small primes is) still factors.
+_MAX_TRIAL_DIVISOR = 10**6
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, exponent), ...), p increasing."""
+    """Prime factorization of n >= 1 as ((p, exponent), ...), p increasing.
+
+    Raises BudgetExceeded once trial division passes _MAX_TRIAL_DIVISOR.
+    """
     if n < 1:
         raise ValueError(f"need a positive integer, got {n}")
     out = []
     rest = n
     p = 2
     while p * p <= rest:
+        if p > _MAX_TRIAL_DIVISOR:
+            raise BudgetExceeded(
+                f"factoring {n} needs trial divisors past {_MAX_TRIAL_DIVISOR}"
+            )
         if rest % p == 0:
             e = 0
             while rest % p == 0:

@@ -91,7 +91,8 @@ class ArithmeticProgression(_Value):
         n, a, d = self.modulus, self.start, self.step
         if i == 1:
             return (a + (j - 1) * d) % n
-        return (pow(2, i - 1, n) * a + pow(2, i - 2, n) * ((2 * j + i - 3) % n) * d) % n
+        # 2^(i-1) a + 2^(i-2) (2j + i - 3) d, with the power of two taken out
+        return pow(2, i - 2, n) * (2 * a + (2 * j + i - 3) * d) % n
 
     def multiplicities(self) -> MultiplicityVector:
         """Residue counts over the whole triangle, in O(m*n) without its entries."""

@@ -234,6 +234,26 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     assert "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize("command", ["triangle", "balanced"])
+def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
+    # a 5-term sequence has a 15-entry triangle
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", "10")
+    code, out, err = invoke(capsys, command, "--n", "3", "--seq", "1,2,0,1,2")
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", "15")
+    code, _, _ = invoke(capsys, command, "--n", "3", "--seq", "1,2,0,1,2")
+    assert code == 0
+
+
+def test_unfactorable_modulus_is_a_domain_error(capsys):
+    code, out, err = invoke(capsys, "alpha", "--n", "100000000000031")
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "steinhaus.cli", "alpha", "--n", "3"],

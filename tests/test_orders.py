@@ -1,12 +1,14 @@
 """Tests for factorization helpers and the order functions alpha and beta."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from steinhaus import (
+    BudgetExceeded,
     EvenModulus,
     NotCoprime,
     alpha,
@@ -26,6 +28,18 @@ def test_factorize_known_values():
     assert factorize(1024) == ((2, 10),)
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_factorize_budget():
+    # every n <= 10^12 factors, and so does a larger n whose cofactor past
+    # the small primes does
+    assert factorize(10**12 + 39) == ((10**12 + 39, 1),)
+    assert factorize(999979 * 999983) == ((999979, 1), (999983, 1))
+    assert factorize(2**40 * (10**12 + 39)) == ((2, 40), (10**12 + 39, 1))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="trial divisors past 1000000"):
+        factorize(10**14 + 31)  # a prime
+    assert time.perf_counter() - start < 5
 
 
 @given(st.integers(1, 100000))

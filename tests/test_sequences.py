@@ -26,7 +26,8 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
-from steinhaus.sequences import _rows
+from steinhaus._sliced import compile_tally
+from steinhaus.sequences import _rows, _sliced_tally, _tally
 
 
 @st.composite
@@ -369,3 +370,69 @@ def test_packed_rows_match_oracle(seq):
         counts = oracle_counts(seq.terms, n)
         assert multiplicities(seq).counts == counts
         assert balanced_terms(list(seq.terms), n) == (len(set(counts)) == 1)
+
+
+# Row lengths on both sides of the 30-bit digits of the bit-sliced planes.
+SLICED_LENGTHS = [1, 2, 29, 30, 31, 59, 60, 61, 200]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_sliced_tally_matches_oracle(n):
+    rng = random.Random(n)
+    tally = compile_tally(n)
+    assert _sliced_tally(n, 0) is None and balanced_terms([], n)  # the empty triangle
+    for m in SLICED_LENGTHS:
+        for terms in ([n - 1] * m, [rng.randrange(n) for _ in range(m)]):
+            counts = oracle_counts(terms, n)
+            assert tally(tuple(terms), m * (m + 1) // 2) == counts
+            balanced = len(set(counts)) == 1
+            target = m * (m + 1) // (2 * n)
+            assert (tally(terms, target) is not None) == balanced
+            assert balanced_terms(terms, n) == balanced
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65])
+def test_sliced_tally_serves_long_triangles(n):
+    # the kernel serves from 512 terms, 131,328 entries, on
+    assert _sliced_tally(n, 511) is None
+    assert (_sliced_tally(n, 512) is None) == (n > 64)
+    rng = random.Random(n)
+    for m in (511, 512):
+        terms = tuple(rng.randrange(n) for _ in range(m))
+        counts = tuple(_tally(_rows(terms, n), n))
+        assert multiplicities(Sequence(n, terms)).counts == counts
+        assert balanced_terms(terms, n) == (len(set(counts)) == 1)
+
+
+@pytest.mark.parametrize("n, m", [(27, 1457), (43, 1504)])
+def test_sliced_tally_confirms_long_balanced_constructions(n, m):
+    # every count reaches the cap of the early exit and none passes it
+    assert _sliced_tally(n, m) is not None
+    seq = construct_balanced(n, m)
+    counts = multiplicities(seq).counts
+    assert len(set(counts)) == 1
+    assert counts == tuple(_tally(_rows(seq.terms, n), n))
+    assert is_balanced(seq)
+
+
+@st.composite
+def sliced_sequences(draw, max_length=300):
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, max_length))
+    term = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+    return Sequence(n, tuple(draw(st.lists(term, min_size=m, max_size=m))))
+
+
+@settings(max_examples=60)
+@given(sliced_sequences(), st.data())
+def test_sliced_tally_matches_oracle_with_cap(seq, data):
+    n, m = seq.modulus, len(seq)
+    tally = compile_tally(n)
+    counts = oracle_counts(seq.terms, n)
+    assert tally(seq.terms, m * (m + 1) // 2) == counts
+    # with a cap: None exactly when a count passes it, like the packed tally
+    cap = data.draw(st.integers(0, max(counts)))
+    expected = None if max(counts) > cap else counts
+    assert tally(seq.terms, cap) == expected
+    packed = _tally(_rows(seq.terms, n), n, cap=cap)
+    assert (packed is None) == (expected is None)

@@ -79,3 +79,22 @@ def test_package_namespace_names():
     assert steinhaus.orders.alpha is steinhaus.alpha
     with pytest.raises(AttributeError):
         steinhaus.no_such_name
+
+
+def test_tally_kernels_compile_on_first_use():
+    # Only a long triangle's tally compiles the bit-sliced kernel of its
+    # modulus, and only then is the module that writes its source loaded.
+    compiled = _child(
+        "import sys\n"
+        "from steinhaus import Sequence, derive, is_balanced, multiplicities, triangle\n"
+        "from steinhaus.sequences import _SLICED\n"
+        "state = lambda: (sorted(_SLICED), 'steinhaus._sliced' in sys.modules)\n"
+        "first = state()\n"
+        "seq = Sequence(5, (1, 2, 3, 4))\n"
+        "triangle(seq), derive(seq), multiplicities(triangle(seq))\n"
+        "multiplicities(seq), is_balanced(seq)\n"
+        "second = state()\n"
+        "multiplicities(Sequence(5, (1, 2, 3, 4) * 128))\n"
+        "print(repr([first, second, state()]))"
+    )
+    assert compiled == [([], False), ([], False), ([5], True)]
