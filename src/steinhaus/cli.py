@@ -32,19 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def render_triangle(t) -> str:
     """Center the rows of Triangle t under each other, the way it is drawn."""
-    n, m = t.modulus, t.height
-    width = max(len(str(n - 1)), 1)
-    # Each cell is formatted once per residue; when the residues outnumber
-    # the entries, only the residues that occur get one.
-    if n <= m * (m + 1) // 2:
-        cells = [str(v).rjust(width) for v in range(n)]
-    else:
-        cells = {v: str(v).rjust(width) for v in t.entries()}
-    lines = []
-    for i, row in enumerate(t.rows):
-        pad = " " * ((i * (width + 1)) // 2)
-        lines.append(pad + " ".join([cells[v] for v in row.terms]))
-    return "\n".join(lines)
+    from .sequences import _render
+    return _render(t.rows[0].terms, t.modulus)
 
 
 def _csv(values) -> str:
@@ -65,13 +54,19 @@ def _budget(args, workers: int = 1):
     return SearchBudget(max_states=_max_states(args), workers=workers)
 
 
+def _check_budget(args, cost: int, what: str) -> None:
+    """Refuse a command whose cost passes the state cap, before any of its work."""
+    cap = _max_states(args)
+    if cost > cap:
+        raise BudgetExceeded(f"{what} exceed the budget of {cap}")
+
+
 def _sequence(args):
     """The --seq sequence, refused when its triangle's m(m+1)/2 entries pass the cap."""
     from .sequences import Sequence
     seq = Sequence.from_text(args.n, args.seq)
-    m, cap = len(seq), _max_states(args)
-    if m * (m + 1) // 2 > cap:
-        raise BudgetExceeded(f"{m}*{m + 1}/2 entries exceed the budget of {cap}")
+    m = len(seq)
+    _check_budget(args, m * (m + 1) // 2, f"{m}*{m + 1}/2 entries")
     return seq
 
 
@@ -82,10 +77,13 @@ def _verdict(mv) -> tuple[dict, str]:
 
 
 def _cmd_triangle(args):
-    from .sequences import triangle
-    t = triangle(_sequence(args))
-    payload = {"n": t.modulus, "m": t.height, "rows": [list(r.terms) for r in t.rows]}
-    return payload, render_triangle(t) if args.format == "text" else None
+    # Streams the rows; only JSON output builds them all, as lists.
+    from .sequences import _render, _rows
+    seq = _sequence(args)
+    terms, n = seq.terms, seq.modulus
+    if args.format == "text":
+        return None, _render(terms, n)
+    return {"n": n, "m": len(terms), "rows": [list(row) for row in _rows(terms, n)]}, None
 
 
 def _cmd_derive(args):
@@ -126,6 +124,8 @@ def _cmd_admissible(args):
 
 
 def _cmd_construct(args):
+    # The closed-form tally costs about n per row, and the m terms are printed.
+    _check_budget(args, args.m * (args.n + 1), f"{args.m}*({args.n} + 1) steps")
     from .progressions import _construction
     ap = _construction(args.n, args.m, args.d, args.family, args.a)
     seq = ap.to_sequence()
@@ -151,10 +151,13 @@ def _cmd_search(args):
 
 
 def _cmd_classify_even(args):
+    # n^2 progressions of each length m up to --max-m, each tallied in about n*m.
+    n, max_m = args.n, args.max_m
+    _check_budget(args, n**3 * max_m * (max_m + 1) // 2, f"{n}^3*{max_m}*{max_m + 1}/2 steps")
     from .search import classify_even_progressions
-    aps = classify_even_progressions(args.n, args.max_m)
+    aps = classify_even_progressions(n, max_m)
     seqs = [ap.to_sequence() for ap in aps]
-    payload = {"n": args.n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
+    payload = {"n": n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
     lines = [
         f"m={ap.length} start={ap.start} step={ap.step}: {s.to_text()}"
         for ap, s in zip(aps, seqs)

@@ -4,7 +4,10 @@ A sequence X = (x_1, ..., x_m) of residues mod n generates a Steinhaus
 triangle: row 1 is X itself, and each following row holds the sums of
 adjacent pairs of the row above, down to a single entry.  The triangle has
 m(m+1)/2 entries and is called balanced when every residue class occurs
-equally often among them.
+equally often among them.  A Triangle holds all of its rows, but its
+constructor checks that each row is the derived row of the one above, so its
+top row determines it: `multiplicities` counts a Triangle as the triangle of
+rows[0], and the CLI's `render_triangle` draws it from rows[0] alone.
 
 Rows are computed packed.  A row of L terms is one integer: its bytes, in
 the machine's byte order, are the terms' lanes of w bytes each, one after
@@ -97,7 +100,13 @@ class Sequence(_Value):
 
 
 class Triangle(_Value):
-    """All rows of a Steinhaus triangle, top row first."""
+    """All rows of the Steinhaus triangle of its top row, top row first.
+
+    The constructor checks that each row below the top one is the derived
+    row of the row above, so the top row determines the rest: `multiplicities`
+    and the CLI's `render_triangle` read only rows[0] and derive the others
+    packed.
+    """
 
     __slots__ = ("rows",)
 
@@ -112,7 +121,17 @@ class Triangle(_Value):
                 raise ValueError("row lengths must shrink by one per row")
         if len(rows[-1]) != 1:
             raise ValueError("the last row must be a single entry")
+        for k, (derived, row) in enumerate(zip(_rows(rows[0].terms, n), rows)):
+            if tuple(derived) != row.terms:
+                raise ValueError(f"row {k + 1} is not the derived row of row {k}")
         _set(self, "rows", rows)
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Sequence, ...]) -> "Triangle":
+        """The triangle of rows already known to be derived from rows[0]."""
+        t = object.__new__(cls)
+        _set(t, "rows", rows)
+        return t
 
     @property
     def modulus(self) -> int:
@@ -203,6 +222,40 @@ def _rows(terms, n: int, skip: int = 0) -> Iterator[bytes | tuple[int, ...]]:
             data = x.to_bytes(length * w, order)
 
 
+def _render(terms, n: int) -> str:
+    """The CLI's drawing of the triangle of `terms` mod n, rows read off `_rows`.
+
+    Every cell is right-justified to the width of n - 1, cells are one space
+    apart, and row i (from 0) is indented by i * (width + 1) // 2 spaces, so
+    the rows are centred under each other.
+    """
+    m = len(terms)
+    width = max(len(str(n - 1)), 1)
+    step = width + 1
+    if _lane_width(n) != 1:  # rows are tuples: join the cells, each formatted once
+        if n <= m * (m + 1) // 2:
+            cells = [str(v).rjust(width) for v in range(n)]
+        else:  # more residues than entries: format only those that occur
+            cells = {v: str(v).rjust(width) for row in _rows(terms, n) for v in row}
+        return "\n".join(" " * (i * step // 2) + " ".join([cells[v] for v in row])
+                         for i, row in enumerate(_rows(terms, n)))
+    # Rows are bytes: table c maps a residue to character c of its cell, and
+    # a row's translation by it fills every step-th byte of its line from c on.
+    tables = ["".join(str(v).rjust(width)[c] for v in range(n)).encode().ljust(256)
+              for c in range(width)]
+    out = bytearray(b" ") * (sum(i * step // 2 for i in range(m)) + step * m * (m + 1) // 2)
+    start = 0
+    for i, row in enumerate(_rows(terms, n)):
+        start += i * step // 2
+        end = start + len(row) * step
+        for c, table in enumerate(tables):
+            out[start + c : end : step] = row.translate(table)
+        out[end - 1] = 10  # the newline after the row's last cell
+        start = end
+    del out[-1]
+    return out.decode()
+
+
 def derive(seq: Sequence) -> Sequence:
     """One derivation step: the sums of adjacent pairs, reduced mod n."""
     if len(seq.terms) < 2:
@@ -231,7 +284,7 @@ def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
 def triangle(seq: Sequence) -> Triangle:
     """Materialize the full triangle generated by `seq`."""
     n = seq.modulus
-    return Triangle(tuple(Sequence._trusted(n, row) for row in triangle_rows(seq)))
+    return Triangle._trusted(tuple(Sequence._trusted(n, row) for row in triangle_rows(seq)))
 
 
 def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
@@ -278,11 +331,12 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     """Count every residue among the triangle entries.
 
     Accepts either a generating Sequence, whose rows are then streamed and
-    discarded so memory stays O(m + n), or an already materialized Triangle.
+    discarded so memory stays O(m + n), or a Triangle, which is counted as
+    the triangle of its top row.
     """
     n = obj.modulus
     if isinstance(obj, Triangle):
-        return MultiplicityVector(n, tuple(_tally((row.terms for row in obj.rows), n)))
+        obj = obj.rows[0]
     m = len(obj.terms)
     sliced = _sliced_tally(n, m)
     counts = sliced(obj.terms, m * (m + 1) // 2) if sliced else _tally(_rows(obj.terms, n), n)

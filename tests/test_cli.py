@@ -247,6 +247,58 @@ def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, cost", [
+    (("construct", "--n", "3", "--m", "8"), 8 * (3 + 1)),  # m * (n + 1)
+    (("classify-even", "--n", "4", "--max-m", "6"), 4**3 * 6 * 7 // 2),  # n^3 * M(M+1)/2
+])
+def test_progression_commands_check_the_state_cap(capsys, monkeypatch, argv, cost):
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str(cost - 1))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str(cost))
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "3", "--m", "1000000000000"],
+    ["classify-even", "--n", "4", "--max-m", "1000000000"],
+])
+def test_huge_progression_commands_are_refused_before_any_work(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("the budget check must come first")
+
+    monkeypatch.setattr("steinhaus.progressions._construction", never)
+    monkeypatch.setattr("steinhaus.search.classify_even_progressions", never)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_triangle_command_builds_no_triangle(capsys, monkeypatch, fmt):
+    # the rows are streamed from the parsed sequence, never materialized
+    from steinhaus import Sequence, triangle
+    from steinhaus.cli import render_triangle
+
+    t = triangle(Sequence(11, (3, 10, 0, 7, 7, 1)))
+    expected = render_triangle(t) + "\n"
+    if fmt == "json":
+        expected = json.dumps({"n": 11, "m": 6, "rows": [list(r.terms) for r in t.rows]},
+                              separators=(",", ":")) + "\n"
+
+    def never(seq):
+        raise AssertionError("triangle() called")
+
+    monkeypatch.setattr("steinhaus.sequences.triangle", never)
+    code, out, err = invoke(capsys, "triangle", "--n", "11", "--seq", "3,10,0,7,7,1",
+                            "--format", fmt)
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_unfactorable_modulus_is_a_domain_error(capsys):
     code, out, err = invoke(capsys, "alpha", "--n", "100000000000031")
     assert code == 2

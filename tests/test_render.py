@@ -17,9 +17,26 @@ def reference_render(t):
 
 
 # (n, m) with n at most the m(m+1)/2 entries, which formats every residue,
-# and past it, which formats only the residues that occur.
-@pytest.mark.parametrize("n, m", [(1, 1), (3, 2), (10, 4), (7, 30), (11, 4), (1000, 12), (10**9, 40)])
+# and past it, which formats only the residues that occur; moduli up to 64
+# are drawn from one-byte rows (n = 11 and 64 with two-character cells), 65
+# and up from rows of wider lanes.
+@pytest.mark.parametrize("n, m", [
+    (1, 1), (3, 2), (10, 4), (7, 30), (11, 4), (1000, 12), (10**9, 40),
+    (2, 33), (10, 25), (11, 25), (64, 40), (65, 40),
+])
 def test_render_matches_reference(n, m):
     rng = random.Random(n * 1000 + m)
     t = triangle(Sequence(n, tuple(rng.randrange(n) for _ in range(m))))
     assert render_triangle(t) == reference_render(t)
+
+
+def test_long_render_matches_reference_row_by_row():
+    # m >= 600, near the triangles the benchmark draws.  Compared row by row:
+    # a failure then names its first wrong row, where pytest's diff of the
+    # two whole drawings (about 400 kB each) takes minutes.
+    rng = random.Random(640)
+    t = triangle(Sequence(9, tuple(rng.randrange(9) for _ in range(640))))
+    got, want = render_triangle(t).split("\n"), reference_render(t).split("\n")
+    assert len(got) == len(want) == 640
+    for i, (line, expected) in enumerate(zip(got, want), 1):
+        assert line == expected, f"row {i}"

@@ -1,5 +1,7 @@
-"""Smoke tests for the scripts: each runs as a child process and prints its table."""
+"""Tests for the scripts: each table script runs as a child process and prints its
+table, and the benchmark pair summary is checked on fabricated runs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,37 @@ def test_script_runs(argv, first_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(workload, seed, side, **metrics):
+    return {"workload": workload, "seed": seed, "side": side, "order": 1, "trace": 0,
+            "result": {"metrics": {k: {"value": v, "unit": "s"} for k, v in metrics.items()}}}
+
+
+def test_bench_pairs_summary():
+    summarize = _load_bench_pairs().summarize
+    parent_wall = [0.20, 0.22, 0.21, 0.25, 0.19]
+    change_wall = [0.15, 0.16, 0.21, 0.14, 0.20]  # wins, wins, tie, wins, loses
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent_wall, change_wall), 1):
+        runs.append(_run("long-rows", seed, "parent", wall_s=p, states=10 * seed))
+        runs.append(_run("long-rows", seed, "change", wall_s=c, states=10 * seed + 1))
+    runs.append(_run("long-rows", 6, "parent", wall_s=9.0, states=0))  # no partner: ignored
+    runs.append(_run("cli", 1, "change", wall_s=1.0, states=0))  # one side only: no summary
+    summary = summarize(runs, {"wall_s": "lower", "states": "higher"})
+    assert list(summary) == ["long-rows"]
+    wall = summary["long-rows"]["wall_s"]
+    assert wall["pairs"] == 5
+    # inclusive quartiles of 0.19, 0.20, 0.21, 0.22, 0.25
+    assert wall["parent"] == {"q1": 0.2, "median": 0.21, "q3": 0.22}
+    assert wall["change"] == {"q1": 0.15, "median": 0.16, "q3": 0.2}
+    assert wall["change_wins"] == 3
+    # higher is better: the change's extra state wins every pair
+    assert summary["long-rows"]["states"]["change_wins"] == 5

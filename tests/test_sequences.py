@@ -15,6 +15,7 @@ from steinhaus import (
     LengthTooShort,
     NotADivisor,
     Sequence,
+    Triangle,
     balanced_terms,
     construct_balanced,
     derive,
@@ -338,6 +339,16 @@ def test_packed_rows_match_oracle_at_lane_boundaries(n):
                 assert multiplicities(seq).counts == counts
                 assert multiplicities(triangle(seq)).counts == counts
                 assert balanced_terms(terms, n) == (len(set(counts)) == 1)
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (2, 40), (7, 600), (64, 520), (65, 60), (2**14 + 1, 30)])
+def test_triangle_from_oracle_rows_counts_as_its_top_row(n, m):
+    # built through the checking constructor, then counted from rows[0] alone
+    rng = random.Random(n * m)
+    terms = [rng.randrange(n) for _ in range(m)]
+    t = Triangle(tuple(Sequence(n, row) for row in oracle_rows(terms, n)))
+    assert t == triangle(Sequence(n, tuple(terms)))
+    assert multiplicities(t).counts == oracle_counts(terms, n)
 
 
 @pytest.mark.parametrize("n, m", [(75, 299), (75, 300), (81, 80), (81, 81)])

@@ -157,6 +157,10 @@ def test_sequence_converts_terms_to_a_tuple():
     (lambda: Triangle((Sequence(3, (1, 2)), Sequence(3, (0, 1)))),
      "row lengths must shrink by one per row"),
     (lambda: Triangle((Sequence(3, (1, 2)),)), "the last row must be a single entry"),
+    (lambda: Triangle((Sequence(3, (1, 2)), Sequence(3, (1,)))),
+     "row 2 is not the derived row of row 1"),
+    (lambda: Triangle((Sequence(5, (1, 2, 4)), Sequence(5, (3, 1)), Sequence(5, (3,)))),
+     "row 3 is not the derived row of row 2"),
     (lambda: MultiplicityVector(3, (1, 1)), "need exactly one count per residue"),
     (lambda: ArithmeticProgression(0, 0, 0, 1), "modulus must be positive, got 0"),
     (lambda: ArithmeticProgression(3, 0, 0, 0), "length must be positive, got 0"),
