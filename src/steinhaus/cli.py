@@ -32,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
 
 def render_triangle(t) -> str:
     """Center the rows of Triangle t under each other, the way it is drawn."""
-    from .sequences import _render
-    return _render(t.rows[0].terms, t.modulus)
+    from ._render import render
+    return render(t.rows[0].terms, t.modulus)
 
 
 def _csv(values) -> str:
@@ -78,11 +78,12 @@ def _verdict(mv) -> tuple[dict, str]:
 
 def _cmd_triangle(args):
     # Streams the rows; only JSON output builds them all, as lists.
-    from .sequences import _render, _rows
     seq = _sequence(args)
     terms, n = seq.terms, seq.modulus
     if args.format == "text":
-        return None, _render(terms, n)
+        from ._render import render
+        return None, render(terms, n)
+    from .sequences import _rows
     return {"n": n, "m": len(terms), "rows": [list(row) for row in _rows(terms, n)]}, None
 
 
