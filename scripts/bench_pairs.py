@@ -1,20 +1,20 @@
 """Run the benchmark on a parent and a change checkout in alternating pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --pr 16 --workload long-rows \
-        --pairs 10 [--claim wall_s] [--seconds 35]
+    python3 scripts/bench_pairs.py PARENT CHANGE --pr 16 --workload long-rows --pairs 10
 
 PARENT and CHANGE are directories holding a checkout of each commit.  Pair s
 (seeds 1, 2, ...) runs `bench/run.py --workload W --seed s --seconds S
---trace 0` once in each, the parent first for an odd seed and the change
-first for an even one, with PYTHONDONTWRITEBYTECODE=1 and every __pycache__
-under the checkout removed before each run, so that each run compiles the
-package from source as a fresh checkout would.  The last line of each run's
-stdout is kept.
+--trace 0` once in each, S being BENCHMARK.json's run_seconds, the parent
+first for an odd seed and the change first for an even one, with
+PYTHONDONTWRITEBYTECODE=1 and every __pycache__ under the checkout removed
+before each run, so that each run compiles the package from source as a
+fresh checkout would.  The last line of each run's stdout is kept.
 
 The runs go to BENCH_<pr>.json in the current directory.  If the file is
 there already, its runs are kept: the new pairs take the next seeds of the
-workload, and the summary is worked out again over all of them.  Besides the
-runs, the file holds both shas, the Python version, the CPU count and, per
+workload, and the summary is worked out again over all of them.  A file of
+other shas or another run length is refused.  Besides the runs, the file
+holds both shas, the run length, the Python version, the CPU count and, per
 workload and end-to-end metric, the quartiles of each side and the number of
 pairs the change won (ties win for neither side).
 """
@@ -29,8 +29,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMAND = ("PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --seed S --seconds N"
-           " --trace 0, in a checkout of each commit with every __pycache__ removed before each run")
+COMMAND = ("PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload W --seed S"
+           " --seconds <run_seconds> --trace 0, in a checkout of each commit with every"
+           " __pycache__ removed before each run")
 ORDER = "a pair with an odd seed runs the parent first, one with an even seed the change first"
 
 
@@ -93,29 +94,25 @@ def main() -> None:
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
     parser.add_argument("--workload", required=True, choices=("exhaustive", "long-rows", "cli"))
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--claim", help="the end-to-end metric the change claims on this workload")
-    parser.add_argument("--seconds", type=float, default=35)
     args = parser.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     out = Path(f"BENCH_{args.pr}.json")
-    shas = {f"{side}_sha": sha(path) for side, path in checkouts.items()}
+    header = {**{f"{side}_sha": sha(path) for side, path in checkouts.items()},
+              "run_seconds": spec["run_seconds"]}
     if out.exists():
         bench = json.loads(out.read_text())
-        if {k: bench[k] for k in shas} != shas:
-            raise SystemExit(f"{out} holds runs of other commits: {[bench[k] for k in shas]}")
+        if {k: bench.get(k) for k in header} != header:
+            raise SystemExit(f"{out} holds runs of other commits or run lengths")
     else:
-        bench = {**shas, "python": platform.python_version(), "cpu_count": os.cpu_count(),
+        bench = {**header, "python": platform.python_version(), "cpu_count": os.cpu_count(),
                  "command": COMMAND, "order": ORDER, "summary": {}, "runs": []}
-    if args.claim:
-        bench["claim"] = {"workload": args.workload, "metric": args.claim,
-                          "better": better[args.claim]}
     first = 1 + max((r["seed"] for r in bench["runs"] if r["workload"] == args.workload), default=0)
     for seed in range(first, first + args.pairs):
         sides = ("parent", "change") if seed % 2 else ("change", "parent")
         for order, side in enumerate(sides, 1):
-            result = run_bench(checkouts[side], args.workload, seed, args.seconds)
+            result = run_bench(checkouts[side], args.workload, seed, spec["run_seconds"])
             bench["runs"].append({"workload": args.workload, "seed": seed, "side": side,
                                   "order": order, "trace": 0, "result": result})
             print(args.workload, seed, side, json.dumps(result["metrics"]), flush=True)

@@ -125,10 +125,10 @@ def _cmd_admissible(args):
 
 
 def _cmd_construct(args):
-    # The closed-form tally costs about n per row, and the m terms are printed.
-    _check_budget(args, args.m * (args.n + 1), f"{args.m}*({args.n} + 1) steps")
     from .progressions import _construction
     ap = _construction(args.n, args.m, args.d, args.family, args.a)
+    # The closed-form tally costs about n per row, and the m terms are printed.
+    _check_budget(args, args.m * (args.n + 1), f"{args.m}*({args.n} + 1) steps")
     seq = ap.to_sequence()
     fields, counts = _verdict(ap.multiplicities())
     payload = {"n": args.n, "m": args.m, "seq": list(seq.terms), **fields}
@@ -152,13 +152,10 @@ def _cmd_search(args):
 
 
 def _cmd_classify_even(args):
-    # n^2 progressions of each length m up to --max-m, each tallied in about n*m.
-    n, max_m = args.n, args.max_m
-    _check_budget(args, n**3 * max_m * (max_m + 1) // 2, f"{n}^3*{max_m}*{max_m + 1}/2 steps")
     from .search import classify_even_progressions
-    aps = classify_even_progressions(n, max_m)
+    aps = classify_even_progressions(args.n, args.max_m, _budget(args))
     seqs = [ap.to_sequence() for ap in aps]
-    payload = {"n": n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
+    payload = {"n": args.n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
     lines = [
         f"m={ap.length} start={ap.start} step={ap.step}: {s.to_text()}"
         for ap, s in zip(aps, seqs)

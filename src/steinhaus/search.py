@@ -258,7 +258,9 @@ def brute_force_balanced(
     return SearchReport(n, m, found, count, states)
 
 
-def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticProgression]:
+def classify_even_progressions(
+    n: int, max_length: int = 40, budget: SearchBudget | None = None
+) -> list[ArithmeticProgression]:
     """All progressions mod even n, up to max_length, with balanced triangles.
 
     Scans every (start, step, length) triple; non-admissible lengths are
@@ -269,11 +271,23 @@ def classify_even_progressions(n: int, max_length: int = 40) -> list[ArithmeticP
     sums n/2 counts mod n, so a triangle balanced mod n is balanced mod 2.
     Only the triples whose projection is balanced are counted mod n; for
     n = 2 the projection is the progression itself and settles it.
+
+    With a budget, the scan is refused with BudgetExceeded before any work
+    when n^3 m, summed over the admissible lengths m, passes max_states:
+    each such length has n^2 triples, each counted in about n m steps.
     """
     if n < 2 or n % 2:
         raise ValueError(f"classification applies to even moduli, got {n}")
     if max_length < 1:
         raise ValueError(f"max_length must be positive, got {max_length}")
+    if budget is not None:
+        cost = 0
+        for m in range(1, max_length + 1):
+            if _target(n, m) is not None and (cost := cost + n**3 * m) > budget.max_states:
+                raise BudgetExceeded(
+                    f"{n}^3 m steps over the admissible m up to {max_length}"
+                    f" exceed the budget of {budget.max_states}"
+                )
     hits = []
     for m in range(1, max_length + 1):
         if _target(n, m) is None:

@@ -106,7 +106,7 @@ class Triangle(_Value):
     The constructor checks that each row below the top one is the derived
     row of the row above, so the top row determines the rest: `multiplicities`
     and the CLI's `render_triangle` read only rows[0] and derive the others
-    packed.
+    packed; a pickle or deep copy holds rows[0] alone.
     """
 
     __slots__ = ("rows",)
@@ -133,6 +133,13 @@ class Triangle(_Value):
         t = object.__new__(cls)
         _set(t, "rows", rows)
         return t
+
+    def __reduce__(self):
+        # Pickle and deepcopy keep the top row alone and rebuild through triangle().
+        return triangle, (self.rows[0],)
+
+    def __copy__(self):
+        return self  # immutable, so a shallow copy is itself, as a tuple's is
 
     @property
     def modulus(self) -> int:

@@ -249,7 +249,8 @@ def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
 
 @pytest.mark.parametrize("argv, cost", [
     (("construct", "--n", "3", "--m", "8"), 8 * (3 + 1)),  # m * (n + 1)
-    (("classify-even", "--n", "4", "--max-m", "6"), 4**3 * 6 * 7 // 2),  # n^3 * M(M+1)/2
+    # n^3 * m over the admissible m <= 8 mod 4, which are 7 and 8
+    (("classify-even", "--n", "4", "--max-m", "8"), 4**3 * (7 + 8)),
 ])
 def test_progression_commands_check_the_state_cap(capsys, monkeypatch, argv, cost):
     monkeypatch.setenv("STEINHAUS_MAX_STATES", str(cost - 1))
@@ -263,19 +264,36 @@ def test_progression_commands_check_the_state_cap(capsys, monkeypatch, argv, cos
 
 
 @pytest.mark.parametrize("argv", [
-    ["construct", "--n", "3", "--m", "1000000000000"],
+    ["construct", "--n", "3", "--m", "999999999999"],
     ["classify-even", "--n", "4", "--max-m", "1000000000"],
 ])
 def test_huge_progression_commands_are_refused_before_any_work(capsys, monkeypatch, argv):
     def never(*args):
         raise AssertionError("the budget check must come first")
 
-    monkeypatch.setattr("steinhaus.progressions._construction", never)
-    monkeypatch.setattr("steinhaus.search.classify_even_progressions", never)
+    for work in ("to_sequence", "multiplicities", "is_balanced"):
+        monkeypatch.setattr(f"steinhaus.progressions.ArithmeticProgression.{work}", never)
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", "3", "--m", "1000000000000", "--a", "1"],
+    ["classify-even", "--n", "5", "--max-m", "1000000000"],
+])
+def test_huge_progression_commands_report_bad_usage_first(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+def test_classify_even_default_length_bound_fits_the_default_cap(capsys, monkeypatch):
+    # only m = 24 of m <= 40 is admissible mod 50: 50^3 * 24 steps, not 50^3 * 40 * 41 / 2
+    monkeypatch.delenv("STEINHAUS_MAX_STATES", raising=False)
+    code, out, err = invoke(capsys, "classify-even", "--n", "50")
+    assert (code, out, err) == (0, "count: 0\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

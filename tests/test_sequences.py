@@ -1,7 +1,9 @@
 """Unit and property tests for sequences, triangles, and balance."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -349,6 +351,15 @@ def test_triangle_from_oracle_rows_counts_as_its_top_row(n, m):
     t = Triangle(tuple(Sequence(n, row) for row in oracle_rows(terms, n)))
     assert t == triangle(Sequence(n, tuple(terms)))
     assert multiplicities(t).counts == oracle_counts(terms, n)
+
+
+def test_long_triangle_pickles_and_copies_as_its_top_row():
+    t = triangle(Sequence(9, tuple(random.Random(1500).randrange(9) for _ in range(1500))))
+    data = pickle.dumps(t)
+    assert len(data) < 10 * 1500  # the top row, not all 1500 * 1501 / 2 entries
+    assert pickle.loads(data) == t
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) == t
 
 
 @pytest.mark.parametrize("n, m", [(75, 299), (75, 300), (81, 80), (81, 81)])
