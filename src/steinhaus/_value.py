@@ -1,11 +1,13 @@
 """The base of the library's immutable value classes.
 
 A subclass lists its fields in `__slots__`, in constructor order; its
-`__init__` checks them and sets them with `_set` (`object.__setattr__`).  The
-base gives what a frozen, slotted dataclass would, without importing
-dataclasses: equality and hashing over the fields, the same repr, read-only
-fields, pickle and copy through the constructor, `__match_args__` and
-`__replace__` (for `copy.replace`).
+`__init__` checks them and sets them with `_set` (`object.__setattr__`).  A
+class whose slots hold something else, such as a cache, names its fields in
+`__match_args__` instead and reads them through properties.  The base gives
+what a frozen, slotted dataclass would, without importing dataclasses:
+equality and hashing over the fields, the same repr, read-only fields, pickle
+and copy through the constructor, `__match_args__` and `__replace__` (for
+`copy.replace`).
 """
 
 from operator import attrgetter
@@ -17,7 +19,7 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = names = cls.__slots__
+        names = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
         get = attrgetter(*names)
         # _fields(obj) is a tuple even for one field, where attrgetter is not.
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
@@ -32,7 +34,7 @@ class _Value:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -45,4 +47,5 @@ class _Value:
         return type(self), self._fields(self)
 
     def __replace__(self, **changes):
-        return type(self)(**dict(zip(self.__slots__, self._fields(self)), **changes))
+        kept = {name: getattr(self, name) for name in self.__match_args__ if name not in changes}
+        return type(self)(**kept, **changes)

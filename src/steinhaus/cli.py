@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 def render_triangle(t) -> str:
     """Center the rows of Triangle t under each other, the way it is drawn."""
     from ._render import render
-    return render(t.rows[0].terms, t.modulus)
+    return render(t._top.terms, t.modulus)
 
 
 def _csv(values) -> str:

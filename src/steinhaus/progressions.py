@@ -24,9 +24,15 @@ def _progression_tally(
     length L runs through the coset a + gZ, g = gcd(d, n), with period
     p = n/g, so with q, r = divmod(L, p) each residue of the coset occurs q
     times, and the first r terms a, a + d, ... once more.  O(n) per row.
+    Once (a, d) = (0, 0), a fixed point of the map, every row left is zeros:
+    their L(L+1)/2 entries go to counts[0] at once.
     """
     counts = [0] * n
     for length in range(m, 0, -1):
+        if not a and not d:
+            counts[0] += length * (length + 1) // 2
+            # The counts only grow, so the walk would pass cap exactly when this does.
+            return None if cap is not None and counts[0] > cap else counts
         g = gcd(d, n)
         q, r = divmod(length, n // g)
         if q:

@@ -4,11 +4,11 @@ A sequence X = (x_1, ..., x_m) of residues mod n generates a Steinhaus
 triangle: row 1 is X itself, and each following row holds the sums of
 adjacent pairs of the row above, down to a single entry.  The triangle has
 m(m+1)/2 entries and is called balanced when every residue class occurs
-equally often among them.  A Triangle holds all of its rows, but its
-constructor checks that each row is the derived row of the one above, so its
-top row determines it: `multiplicities` counts a Triangle as the triangle of
-rows[0], and the CLI's `render_triangle` (in steinhaus._render) draws it from
-rows[0] alone.
+equally often among them.  A Triangle holds its top row; rows are built on
+first read.  Its constructor checks that each row given is the derived row of
+the one above, so the top row determines it: `multiplicities` counts a
+Triangle as the triangle of its top row, and the CLI's `render_triangle` (in
+steinhaus._render) draws it from that row alone.
 
 Rows are computed packed.  A row of L terms is one integer: its bytes, in
 the machine's byte order, are the terms' lanes of w bytes each, one after
@@ -103,13 +103,16 @@ class Sequence(_Value):
 class Triangle(_Value):
     """All rows of the Steinhaus triangle of its top row, top row first.
 
-    The constructor checks that each row below the top one is the derived
-    row of the row above, so the top row determines the rest: `multiplicities`
-    and the CLI's `render_triangle` read only rows[0] and derive the others
-    packed; a pickle or deep copy holds rows[0] alone.
+    It holds its top row; rows are built on first read and kept.  The
+    constructor checks that each row below the top one is the derived row of
+    the row above, so the top row determines the rest: equality and hashing
+    compare it, `multiplicities` and the CLI's `render_triangle` read it
+    alone and derive the others packed, and a pickle or deep copy holds it
+    alone.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_top", "_built")
+    __match_args__ = ("rows",)
 
     def __init__(self, rows: tuple[Sequence, ...]):
         if not rows:
@@ -125,29 +128,45 @@ class Triangle(_Value):
         for k, (derived, row) in enumerate(zip(_rows(rows[0].terms, n), rows)):
             if tuple(derived) != row.terms:
                 raise ValueError(f"row {k + 1} is not the derived row of row {k}")
-        _set(self, "rows", rows)
+        _set(self, "_top", rows[0])
+        _set(self, "_built", rows)
 
-    @classmethod
-    def _trusted(cls, rows: tuple[Sequence, ...]) -> "Triangle":
-        """The triangle of rows already known to be derived from rows[0]."""
-        t = object.__new__(cls)
-        _set(t, "rows", rows)
-        return t
+    @property
+    def rows(self) -> tuple[Sequence, ...]:
+        try:
+            return self._built
+        except AttributeError:
+            # First read of a triangle() triangle.  Threads reading at once
+            # may each build the rows; they are equal, and one is kept.
+            top = self._top
+            n = top.modulus
+            below = [Sequence._trusted(n, tuple(row)) for row in _rows(top.terms, n, skip=1)]
+            rows = (top, *below)
+            _set(self, "_built", rows)
+            return rows
+
+    def __eq__(self, other):
+        if other.__class__ is Triangle:
+            return self._top == other._top
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._top)
 
     def __reduce__(self):
         # Pickle and deepcopy keep the top row alone and rebuild through triangle().
-        return triangle, (self.rows[0],)
+        return triangle, (self._top,)
 
     def __copy__(self):
         return self  # immutable, so a shallow copy is itself, as a tuple's is
 
     @property
     def modulus(self) -> int:
-        return self.rows[0].modulus
+        return self._top.modulus
 
     @property
     def height(self) -> int:
-        return len(self.rows)
+        return len(self._top)
 
     def entry(self, i: int, j: int) -> int:
         """Entry j of row i, both 1-based; row 1 is the generating sequence."""
@@ -256,9 +275,11 @@ def triangle_rows(seq: Sequence) -> Iterator[tuple[int, ...]]:
 
 
 def triangle(seq: Sequence) -> Triangle:
-    """Materialize the full triangle generated by `seq`."""
-    n = seq.modulus
-    return Triangle._trusted(tuple(Sequence._trusted(n, row) for row in triangle_rows(seq)))
+    """The triangle generated by `seq`, in O(1): it holds `seq`, and builds
+    its rows on first read."""
+    t = object.__new__(Triangle)
+    _set(t, "_top", seq)
+    return t
 
 
 def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
@@ -310,7 +331,7 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     """
     n = obj.modulus
     if isinstance(obj, Triangle):
-        obj = obj.rows[0]
+        obj = obj._top
     m = len(obj.terms)
     sliced = _sliced_tally(n, m)
     counts = sliced(obj.terms, m * (m + 1) // 2) if sliced else _tally(_rows(obj.terms, n), n)

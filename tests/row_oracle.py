@@ -5,6 +5,8 @@ This is the plain comprehension the packed kernel replaced: slow and plainly
 right, the oracle the packed rows are compared against.
 """
 
+from collections import Counter
+
 
 def next_row(row, n):
     """The row below `row` in a triangle mod n."""
@@ -17,3 +19,9 @@ def oracle_rows(terms, n):
     while len(rows[-1]) > 1:
         rows.append(next_row(rows[-1], n))
     return rows
+
+
+def oracle_counts(terms, n):
+    """The residue counts 0..n-1 over every entry of the oracle rows."""
+    tally = Counter(v for row in oracle_rows(terms, n) for v in row)
+    return tuple(tally[r] for r in range(n))

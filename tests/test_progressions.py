@@ -1,10 +1,12 @@
 """Tests for progressions, their closed forms, and balanced constructions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from row_oracle import oracle_counts
 
 from steinhaus import (
     ArithmeticProgression,
@@ -27,6 +29,8 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
+from steinhaus.admissible import _target
+from steinhaus.progressions import _progression_tally
 
 
 @st.composite
@@ -313,6 +317,24 @@ def test_closed_form_counts_match_tally(ap):
     seq = ap.to_sequence()
     assert ap.multiplicities().counts == multiplicities(seq).counts
     assert ap.is_balanced() == is_balanced(seq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 6, 12, 9])
+def test_tally_matches_oracle_past_the_zero_fixed_point(n):
+    # Mod a power of two every (a, d) reaches (0, 0) within 2 log2(n) rows,
+    # and mod 6 or 12 some do; from there the tally adds the zero rows at
+    # once.  Mod 9 only (0, 0) itself starts there.
+    rng = random.Random(n)
+    for a in range(n):
+        for d in range(n):
+            m = rng.randrange(1, 70)
+            counts = oracle_counts(ArithmeticProgression(n, a, d, m).to_sequence().terms, n)
+            assert tuple(_progression_tally(n, a, d, m)) == counts
+            caps = {max(counts) - 1, max(counts), counts[0] - 1, counts[0], _target(n, m)}
+            for cap in caps - {None, -1}:
+                got = _progression_tally(n, a, d, m, cap)
+                want = None if max(counts) > cap else counts
+                assert (None if got is None else tuple(got)) == want, cap
 
 
 def classify_by_tally(n, max_length):

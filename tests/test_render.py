@@ -16,6 +16,20 @@ def reference_render(t):
     )
 
 
+def assert_same_drawing(got, want):
+    """Fail at the first line that differs, naming it.
+
+    A plain == on two whole drawings makes pytest diff them on failure,
+    which takes minutes at about 400 kB each.
+    """
+    got, want = got.split("\n"), want.split("\n")
+    for i, (line, expected) in enumerate(zip(got, want), 1):
+        if line != expected:
+            pytest.fail(f"line {i} differs:\n got  {line[:100]!r}\n want {expected[:100]!r}")
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} lines, want {len(want)}")
+
+
 # (n, m) with n at most the m(m+1)/2 entries, which formats every residue,
 # and past it, which formats only the residues that occur; moduli up to 64
 # are drawn from one-byte rows (n = 11 and 64 with two-character cells), 65
@@ -27,16 +41,11 @@ def reference_render(t):
 def test_render_matches_reference(n, m):
     rng = random.Random(n * 1000 + m)
     t = triangle(Sequence(n, tuple(rng.randrange(n) for _ in range(m))))
-    assert render_triangle(t) == reference_render(t)
+    assert_same_drawing(render_triangle(t), reference_render(t))
 
 
 def test_long_render_matches_reference_row_by_row():
-    # m >= 600, near the triangles the benchmark draws.  Compared row by row:
-    # a failure then names its first wrong row, where pytest's diff of the
-    # two whole drawings (about 400 kB each) takes minutes.
+    # m >= 600, near the triangles the benchmark draws
     rng = random.Random(640)
     t = triangle(Sequence(9, tuple(rng.randrange(9) for _ in range(640))))
-    got, want = render_triangle(t).split("\n"), reference_render(t).split("\n")
-    assert len(got) == len(want) == 640
-    for i, (line, expected) in enumerate(zip(got, want), 1):
-        assert line == expected, f"row {i}"
+    assert_same_drawing(render_triangle(t), reference_render(t))

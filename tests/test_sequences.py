@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from row_oracle import next_row, oracle_rows
+from row_oracle import next_row, oracle_counts, oracle_rows
 
 from steinhaus import (
     IndexOutOfRange,
@@ -29,7 +29,9 @@ from steinhaus import (
     triangle,
     triangle_rows,
 )
+from steinhaus import sequences as sequences_module
 from steinhaus._sliced import compile_tally
+from steinhaus.cli import render_triangle
 from steinhaus.sequences import _rows, _sliced_tally, _tally
 
 
@@ -301,11 +303,6 @@ def test_antisymmetric_counts_are_negation_symmetric(seq):
 LANE_BOUNDARIES = [64, 65, 2**14, 2**14 + 1, 2**30, 2**30 + 1, 2**62, 2**62 + 1]
 
 
-def oracle_counts(terms, n):
-    tally = Counter(v for row in oracle_rows(terms, n) for v in row)
-    return tuple(tally[r] for r in range(n))
-
-
 def test_packed_rows_match_oracle_exhaustive():
     # The oracle rows of a sequence are the sequence itself over the oracle
     # rows of its next row, which the previous length has already built.
@@ -360,6 +357,86 @@ def test_long_triangle_pickles_and_copies_as_its_top_row():
     assert pickle.loads(data) == t
     assert copy.copy(t) is t
     assert copy.deepcopy(t) == t
+
+
+def test_lazy_triangle_readers_derive_no_rows(monkeypatch):
+    # triangle() holds its top row; every reader below works from that row
+    # alone, so none of them builds `rows` (whose first read would fail here).
+    seq = Sequence(9, tuple(random.Random(1500).randrange(9) for _ in range(1500)))
+    counts = multiplicities(seq)
+    drawing = render_triangle(triangle(seq))
+    real = sequences_module._rows
+
+    def top_row_only(terms, n, skip=0):
+        if not skip:
+            yield next(real(terms, n))
+        raise AssertionError("a row below the top was derived")
+
+    monkeypatch.setattr(sequences_module, "_rows", top_row_only)
+    t = triangle(seq)
+    assert multiplicities(t) == counts
+    assert render_triangle(t) == drawing
+    assert (t.height, t.modulus) == (1500, 9)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and t == triangle(seq)
+    assert hash(back) == hash(t) == hash(triangle(seq))
+    with pytest.raises(AssertionError, match="below the top"):
+        t.rows
+
+
+def test_lazy_triangle_builds_its_rows_once(monkeypatch):
+    seq = Sequence(11, tuple(random.Random(30).randrange(11) for _ in range(30)))
+    calls = []
+    real = sequences_module._rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sequences_module, "_rows", counted)
+    t = triangle(seq)
+    assert not calls
+    rows = t.rows
+    assert len(calls) == 1
+    assert t.rows is rows and t.rows is rows
+    assert len(calls) == 1
+    assert rows[0] is seq
+    assert [r.terms for r in rows] == oracle_rows(seq.terms, 11)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 7), (9, 40), (64, 30), (65, 20), (2**40, 12)])
+def test_lazy_triangle_equals_checked_triangle(n, m):
+    rng = random.Random(n + m)
+    seq = Sequence(n, tuple(rng.randrange(n) for _ in range(m)))
+    checked = Triangle(tuple(Sequence(n, row) for row in oracle_rows(seq.terms, n)))
+    lazy = triangle(seq)
+    # equality and hashing before the lazy rows are built, then after
+    for _ in range(2):
+        assert lazy == checked and checked == lazy
+        assert not lazy != checked and not checked != lazy
+        assert hash(lazy) == hash(checked)
+        assert repr(lazy) == repr(checked)
+    for t in (lazy, checked):
+        match t:
+            case Triangle(rows):
+                assert rows == checked.rows
+    if n > 1:
+        other = triangle(Sequence(n, ((seq.terms[0] + 1) % n,) + seq.terms[1:]))
+        assert lazy != other and checked != other
+
+
+def test_triangle_replace_called_directly():
+    # copy.replace is new in Python 3.13; __replace__ is its hook.
+    rows = (Sequence(5, (3, 1)), Sequence(5, (4,)))
+    for t in (triangle(Sequence(5, (1, 2, 4))), Triangle(triangle(Sequence(5, (1, 2, 4))).rows)):
+        assert t.__replace__() == t
+        changed = t.__replace__(rows=rows)
+        assert changed == triangle(Sequence(5, (3, 1)))
+        assert changed.rows is rows
+        with pytest.raises(TypeError):
+            t.__replace__(no_such_field=1)
+        with pytest.raises(ValueError, match="row 2 is not the derived row of row 1"):
+            t.__replace__(rows=(Sequence(5, (1, 2)), Sequence(5, (1,))))
 
 
 @pytest.mark.parametrize("n, m", [(75, 299), (75, 300), (81, 80), (81, 81)])

@@ -134,6 +134,16 @@ def test_copy_replace(case):
         copy.replace(obj, no_such_field=1)
 
 
+def test_replace_called_directly(case):
+    # test_copy_replace through the hook itself, which runs on every Python
+    cls, names, values, other, _ = case
+    obj = cls(*values)
+    assert obj.__replace__(**{names[-1]: other[-1]}) == cls(*values[:-1], other[-1])
+    assert obj.__replace__() == obj
+    with pytest.raises(TypeError):
+        obj.__replace__(no_such_field=1)
+
+
 def test_search_budget_defaults():
     assert SearchBudget() == SearchBudget(DEFAULT_MAX_STATES, 1)
     assert SearchBudget(workers=3) == SearchBudget(max_states=DEFAULT_MAX_STATES, workers=3)
