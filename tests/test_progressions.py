@@ -321,7 +321,7 @@ def test_closed_form_counts_match_tally(ap):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 6, 12, 9])
 def test_tally_matches_oracle_past_the_zero_fixed_point(n):
-    # Mod a power of two every (a, d) reaches (0, 0) within 2 log2(n) rows,
+    # Mod a power of two every (a, d) reaches (0, 0) within log2(n) + 1 rows,
     # and mod 6 or 12 some do; from there the tally adds the zero rows at
     # once.  Mod 9 only (0, 0) itself starts there.
     rng = random.Random(n)
