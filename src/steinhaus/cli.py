@@ -77,14 +77,18 @@ def _verdict(mv) -> tuple[dict, str]:
 
 
 def _cmd_triangle(args):
-    # Streams the rows; only JSON output builds them all, as lists.
+    # Streams the rows into the output text, the JSON too: a row is written
+    # as json.dumps would write its list, with no list built.  A residue's
+    # digits are looked up where the table is no longer than the top row.
     seq = _sequence(args)
     terms, n = seq.terms, seq.modulus
     if args.format == "text":
         from ._render import render
         return None, render(terms, n)
     from .sequences import _rows
-    return {"n": n, "m": len(terms), "rows": [list(row) for row in _rows(terms, n)]}, None
+    cell = [str(v) for v in range(n)].__getitem__ if n <= len(terms) else str
+    rows = ",".join(f"[{','.join(map(cell, row))}]" for row in _rows(terms, n))
+    return None, f'{{"n":{n},"m":{len(terms)},"rows":[{rows}]}}'
 
 
 def _cmd_derive(args):
@@ -181,7 +185,7 @@ _MAX_STATES = (
 
 # Every subcommand as (name, help, flags, handler), in --help order; each
 # flag is (name, add_argument options).  A handler returns the JSON payload
-# and the text output.
+# and the text output, or no payload and the output it wrote for the format.
 _COMMANDS = (
     ("triangle", "print the triangle generated by a sequence", [_SEQ], _cmd_triangle),
     ("derive", "print the i-th derived sequence", [
@@ -244,7 +248,7 @@ def run(argv=None) -> int:
 
         traceback.print_exc()
         return 3
-    if args.format == "json":
+    if args.format == "json" and payload is not None:
         import json
 
         text = json.dumps(payload, separators=(",", ":"))

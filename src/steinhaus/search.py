@@ -10,18 +10,21 @@ diagonal is one int, a bit per entry: addition mod 2 is XOR and a count is a
 popcount, so a child's diagonal and its number of ones take a few word-wide
 shifts instead of a loop over the entries (see _scan_block).
 
-The candidate space splits by fixed prefixes into blocks.  A count needs one
-sequence per orbit of the units of Z/nZ: multiplying every term by a unit u
-multiplies every entry of the triangle by u, which permutes the residue
-counts, so balance is kept.  Its blocks are the prefixes (0^j, g) with g a
-proper divisor of n, each weighted by the phi(n/g) first terms y with
-gcd(y, n) = g, plus the all-zero sequence.  A listing walks every prefix.
-With a worker pool the blocks are cut several times finer than the pool, so
-that uneven, pruned blocks still share out evenly; listing blocks are merged
-in lexicographic order, so the report is identical for any worker count.
+The candidate space splits by fixed prefixes into blocks, one sequence per
+orbit of the units of Z/nZ: multiplying every term by a unit u multiplies
+every entry of the triangle by u, which permutes the residue counts, so
+balance is kept.  The blocks are the prefixes (0^j, g) with g a proper
+divisor of n, each weighted by the phi(n/g) first terms y with
+gcd(y, n) = g, plus the all-zero sequence.  A count adds up the weighted
+hits; a listing maps each block's hits by one unit per such y, taking
+(0^j, g, ...) onto (0^j, y, ...), and sorts them all once.  With a worker
+pool the blocks are cut several times finer than the pool, so that uneven,
+pruned blocks still share out evenly; the hits are expanded and sorted after
+the blocks are merged, so the report is identical for any worker count.
 """
 
 import itertools
+import math
 import os
 from functools import partial
 
@@ -182,15 +185,12 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     return found, count
 
 
-def _blocks(n: int, m: int, k: int, count_only: bool):
+def _blocks(n: int, m: int, k: int):
     """(prefix, weight) pairs whose weighted block counts sum to the count.
 
-    Listing blocks are the prefixes of length k, in lexicographic order.
-    Count-only blocks are (0^j, g, rest), g a proper divisor of n with
-    weight phi(n/g) and rest any k - j - 1 terms, plus the all-zero sequence.
+    The blocks are (0^j, g, rest), g a proper divisor of n with weight
+    phi(n/g) and rest any k - j - 1 terms, plus the all-zero sequence.
     """
-    if not count_only:
-        return [(p, 1) for p in itertools.product(range(n), repeat=k)]
     divisors = [(g, totient(n // g)) for g in range(1, n) if n % g == 0]
     blocks = [
         ((0,) * j + (g,) + rest, weight)
@@ -202,9 +202,27 @@ def _blocks(n: int, m: int, k: int, count_only: bool):
     return blocks
 
 
+def _unit_tables(n: int) -> dict[int, list[list[int]]]:
+    """For 0 and each proper divisor g of n, the tables t -> u*t mod n of one
+    unit u per residue y != g with gcd(y, n) = gcd(g, n), the one with u*g = y.
+
+    Multiplying by such a u maps the block (0^j, g, ...) onto (0^j, y, ...),
+    one to one, so the block's hits and their images under g's tables are
+    every hit whose first nonzero term has the gcd of g.
+    """
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+    tables = {}
+    for g in [0, *(g for g in range(1, n) if n % g == 0)]:
+        first = {g: 1}
+        for u in units:
+            first.setdefault(u * g % n, u)
+        tables[g] = [[u * t % n for t in range(n)] for y, u in first.items() if y != g]
+    return tables
+
+
 def _witness(n: int, m: int) -> tuple[int, ...] | None:
     """The first balanced sequence the count-only blocks lead to, if any."""
-    for prefix, _ in _blocks(n, m, 0, count_only=True):
+    for prefix, _ in _blocks(n, m, 0):
         found, _ = _scan_block(n, m, prefix, False, first_hit=True)
         if found:
             return found[0]
@@ -221,13 +239,14 @@ def brute_force_balanced(
     The search is depth first and prunes every prefix whose triangle already
     holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
     length that is not admissible has no balanced sequence and is answered
-    at once.  In count_only mode one sequence per orbit of the units is
-    walked and weighted by its orbit's size (see _blocks).  With more than
-    one worker the blocks are prefixes of the least length k, up to m, with
-    n^k >= 4 * workers, handed to a process pool.  states_examined is n^m,
-    the size of the space covered, however much of it was pruned or skipped
-    by symmetry.  found is sorted lexicographically and is empty in
-    count_only mode.
+    at once.  One sequence per orbit of the units is walked (see _blocks):
+    a count weights each hit by its orbit's size, and a listing maps each
+    block's hits onto the rest of their orbits (see _unit_tables) in this
+    process, after the blocks are merged.  With more than one worker the
+    blocks are cut at the least length k, up to m, with n^k >= 4 * workers,
+    and handed to a process pool.  states_examined is n^m, the size of the
+    space covered, however much of it was pruned or skipped by symmetry.
+    found is sorted lexicographically and is empty in count_only mode.
     """
     if n < 1 or m < 1:
         raise ValueError("modulus and length must be positive")
@@ -244,7 +263,7 @@ def brute_force_balanced(
     k = 0
     while workers > 1 and k < m and n**k < _BLOCKS_PER_WORKER * workers:
         k += 1
-    prefixes, weights = zip(*_blocks(n, m, k, count_only))
+    prefixes, weights = zip(*_blocks(n, m, k))
     scan = partial(_scan_block, n, m, count_only=count_only)
     if workers == 1:
         blocks = [scan(p) for p in prefixes]
@@ -253,8 +272,18 @@ def brute_force_balanced(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
-    found = tuple(Sequence._trusted(n, t) for block_found, _ in blocks for t in block_found)
     count = sum(w * c for w, (_, c) in zip(weights, blocks))
+    found = ()
+    if not count_only:
+        tables = _unit_tables(n)
+        hits = [hit for block_found, _ in blocks for hit in block_found]
+        hits += [
+            tuple(map(table.__getitem__, hit))
+            for prefix, (block_found, _) in zip(prefixes, blocks)
+            for table in tables[next(filter(None, prefix), 0)]
+            for hit in block_found
+        ]
+        found = tuple(Sequence._trusted(n, t) for t in sorted(hits))
     return SearchReport(n, m, found, count, states)
 
 

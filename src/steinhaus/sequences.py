@@ -106,9 +106,9 @@ class Triangle(_Value):
     It holds its top row; rows are built on first read and kept.  The
     constructor checks that each row below the top one is the derived row of
     the row above, so the top row determines the rest: equality and hashing
-    compare it, `multiplicities` and the CLI's `render_triangle` read it
-    alone and derive the others packed, and a pickle or deep copy holds it
-    alone.
+    compare it, `multiplicities`, `entry`, `entries` and the CLI's
+    `render_triangle` read it alone and derive the others packed, and a
+    pickle or deep copy holds it alone.
     """
 
     __slots__ = ("_top", "_built")
@@ -169,17 +169,29 @@ class Triangle(_Value):
         return len(self._top)
 
     def entry(self, i: int, j: int) -> int:
-        """Entry j of row i, both 1-based; row 1 is the generating sequence."""
-        if not 1 <= i <= len(self.rows):
-            raise IndexOutOfRange(f"row {i} outside 1..{len(self.rows)}")
-        row = self.rows[i - 1].terms
-        if not 1 <= j <= len(row):
-            raise IndexOutOfRange(f"column {j} outside 1..{len(row)} in row {i}")
+        """Entry j of row i, both 1-based; row 1 is the generating sequence.
+
+        Row i is derived alone, unless the rows are built already.
+        """
+        m = self.height
+        if not 1 <= i <= m:
+            raise IndexOutOfRange(f"row {i} outside 1..{m}")
+        if not 1 <= j <= m - i + 1:
+            raise IndexOutOfRange(f"column {j} outside 1..{m - i + 1} in row {i}")
+        try:
+            row = self._built[i - 1].terms
+        except AttributeError:
+            row = next(_rows(self._top.terms, self.modulus, skip=i - 1))
         return row[j - 1]
 
     def entries(self) -> Iterator[int]:
-        for row in self.rows:
-            yield from row.terms
+        """Every entry, row by row; rows not built already are streamed."""
+        try:
+            rows = (row.terms for row in self._built)
+        except AttributeError:
+            rows = _rows(self._top.terms, self.modulus)
+        for row in rows:
+            yield from row
 
 
 class MultiplicityVector(_Value):

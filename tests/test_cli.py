@@ -1,11 +1,13 @@
 """Tests for the command line interface: output formats and exit codes."""
 
 import json
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
+from row_oracle import oracle_rows
 
 from steinhaus import admissible_classes, alpha, brute_force_balanced, is_admissible
 from steinhaus.cli import run
@@ -315,6 +317,21 @@ def test_triangle_command_builds_no_triangle(capsys, monkeypatch, fmt):
     code, out, err = invoke(capsys, "triangle", "--n", "11", "--seq", "3,10,0,7,7,1",
                             "--format", fmt)
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("n, m", [
+    (3, 4), (9, 60), (64, 40),  # one-byte lanes, n <= m and n > m
+    (65, 70), (300, 20), (2**40, 9),  # wider lanes, n <= m and n > m
+    (7, 1), (1000, 1),  # a single entry
+])
+def test_triangle_json_exact_bytes(capsys, n, m):
+    # the rows are written out one at a time, as json.dumps writes the lists
+    rng = random.Random(n + m)
+    terms = [rng.randrange(n) for _ in range(m)]
+    payload = {"n": n, "m": m, "rows": [list(row) for row in oracle_rows(terms, n)]}
+    code, out, err = invoke(capsys, "triangle", "--n", str(n), "--seq",
+                            ",".join(map(str, terms)), "--format", "json")
+    assert (code, out, err) == (0, json.dumps(payload, separators=(",", ":")) + "\n", "")
 
 
 def test_unfactorable_modulus_is_a_domain_error(capsys):

@@ -1,5 +1,6 @@
 """Tests for exhaustive search, even-modulus classification, and probing."""
 
+import math
 import os
 import subprocess
 import sys
@@ -170,9 +171,44 @@ def test_search_matches_odometer_exhaustively(n):
 
 @pytest.mark.parametrize("n, m, count", [(4, 8, 300), (6, 8, 532), (5, 9, 1284)])
 def test_orbit_count_matches_listing(n, m, count):
-    # a listing walks every sequence, so it shares no symmetry with the count
+    # the listing expands the count's orbit blocks, so this checks the two
+    # against each other only; test_listing_matches_odometer_past_the_cap
+    # checks listings against the odometer at (4, 8) and (7, 6)
     assert brute_force_balanced(n, m, count_only=True).count == count
     assert len(brute_force_balanced(n, m).found) == count
+
+
+@pytest.mark.parametrize("n, m", [(4, 8), (7, 6)])
+def test_listing_matches_odometer_past_the_cap(n, m):
+    # past the 5 * 10^4 states the exhaustive test stops at; mod 4 has the
+    # unit 3 and mod 7 five units besides 1, so most hits are images of the
+    # hits of a block under a unit
+    listing = odometer_report(n, m)
+    for workers in (1, 2):
+        assert brute_force_balanced(n, m, SearchBudget(workers=workers)) == listing, workers
+
+
+# every admissible (n, m) with n <= 9 and n^m <= 10^5, n = 1 up to m = 16
+SMALL_ADMISSIBLE = [
+    (n, m)
+    for n in range(1, 10)
+    for m in range(1, 17)
+    if n**m <= 10**5 and is_admissible(n, m)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ADMISSIBLE))
+def test_listing_is_sorted_closed_under_units_and_counted(case):
+    n, m = case
+    found = [s.terms for s in brute_force_balanced(n, m).found]
+    assert all(a < b for a, b in zip(found, found[1:]))
+    hits = set(found)
+    for u in range(1, n + 1):
+        if math.gcd(u, n) == 1:
+            assert {tuple(u * t % n for t in hit) for hit in found} == hits, u
+    assert len(found) == brute_force_balanced(n, m, count_only=True).count
+    assert all(is_balanced(Sequence(n, hit)) for hit in found)
 
 
 def test_worker_count_does_not_change_uneven_blocks():

@@ -404,6 +404,40 @@ def test_lazy_triangle_builds_its_rows_once(monkeypatch):
     assert [r.terms for r in rows] == oracle_rows(seq.terms, 11)
 
 
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 9), (9, 40), (65, 20), (2**40, 12)])
+def test_entry_derives_its_row_alone(monkeypatch, n, m):
+    rng = random.Random(n * m)
+    seq = Sequence(n, tuple(rng.randrange(n) for _ in range(m)))
+    checked = Triangle(tuple(Sequence(n, row) for row in oracle_rows(seq.terms, n)))
+    real = sequences_module._rows
+    yielded = []
+
+    def counted(*args, **kwargs):
+        for row in real(*args, **kwargs):
+            yielded.append(row)
+            yield row
+
+    monkeypatch.setattr(sequences_module, "_rows", counted)
+    t = triangle(seq)
+    for i in range(1, m + 1):
+        for j in range(1, m - i + 2):
+            yielded.clear()
+            assert t.entry(i, j) == checked.entry(i, j), (i, j)
+            assert len(yielded) == 1, (i, j)
+    for i, j in [(0, 1), (m + 1, 1), (1, m + 1), (m, 2), (1, 0)]:
+        with pytest.raises(IndexOutOfRange):
+            t.entry(i, j)
+    yielded.clear()
+    assert list(t.entries()) == list(checked.entries())
+    assert len(yielded) == m
+    # once the rows are built, entry and entries read them and derive nothing
+    assert t.rows == checked.rows
+    yielded.clear()
+    assert [t.entry(m, 1), t.entry(1, m)] == [checked.entry(m, 1), checked.entry(1, m)]
+    assert list(t.entries()) == list(checked.entries())
+    assert not yielded
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 7), (9, 40), (64, 30), (65, 20), (2**40, 12)])
 def test_lazy_triangle_equals_checked_triangle(n, m):
     rng = random.Random(n + m)
