@@ -12,40 +12,7 @@ from ._value import _set, _Value
 from .admissible import _target
 from .errors import EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength
 from .orders import alpha, beta
-from .sequences import MultiplicityVector, Sequence
-
-
-def _progression_tally(
-    n: int, a: int, d: int, m: int, cap: int | None = None
-) -> list[int] | None:
-    """Residue counts over the triangle of AP(a, d, m), or None once one passes `cap`.
-
-    Row by row: AP(a, d, L) derives to AP(2a + d, 2d, L - 1).  A row of
-    length L runs through the coset a + gZ, g = gcd(d, n), with period
-    p = n/g, so with q, r = divmod(L, p) each residue of the coset occurs q
-    times, and the first r terms a, a + d, ... once more.  O(n) per row.
-    Once (a, d) = (0, 0), a fixed point of the map, every row left is zeros:
-    their L(L+1)/2 entries go to counts[0] at once.
-    """
-    counts = [0] * n
-    for length in range(m, 0, -1):
-        if not a and not d:
-            counts[0] += length * (length + 1) // 2
-            # The counts only grow, so the walk would pass cap exactly when this does.
-            return None if cap is not None and counts[0] > cap else counts
-        g = gcd(d, n)
-        q, r = divmod(length, n // g)
-        if q:
-            coset = slice(a % g, n, g)
-            counts[coset] = [c + q for c in counts[coset]]
-        x = a
-        for _ in range(r):
-            counts[x] += 1
-            x = (x + d) % n
-        if cap is not None and max(counts) > cap:
-            return None
-        a, d = (2 * a + d) % n, 2 * d % n
-    return counts
+from .sequences import MultiplicityVector, Sequence, _progression_tally
 
 
 class ArithmeticProgression(_Value):
@@ -101,7 +68,8 @@ class ArithmeticProgression(_Value):
         return pow(2, i - 2, n) * (2 * a + (2 * j + i - 3) * d) % n
 
     def multiplicities(self) -> MultiplicityVector:
-        """Residue counts over the whole triangle, in O(m*n) without its entries."""
+        """Residue counts over the whole triangle, without its entries: a few
+        operations per row, and O(n) once per distinct class of rows."""
         n = self.modulus
         counts = _progression_tally(n, self.start, self.step, self.length)
         return MultiplicityVector(n, tuple(counts))

@@ -293,17 +293,19 @@ def classify_even_progressions(
     """All progressions mod even n, up to max_length, with balanced triangles.
 
     Scans every (start, step, length) triple; non-admissible lengths are
-    skipped, and the rest are counted in closed form, row by row, without
-    expanding the progression.  Each triple is first sieved by its projection
-    mod 2, the least prime dividing n.  The triangle of AP(a, d, m) reduced
-    mod 2 is the triangle of AP(a mod 2, d mod 2, m), and each of its counts
-    sums n/2 counts mod n, so a triangle balanced mod n is balanced mod 2.
-    Only the triples whose projection is balanced are counted mod n; for
-    n = 2 the projection is the progression itself and settles it.
+    skipped, and the rest are counted in closed form, once per class of
+    rows, without expanding the progression.  Each triple is first sieved by
+    its projection mod 2, the least prime dividing n.  The triangle of
+    AP(a, d, m) reduced mod 2 is the triangle of AP(a mod 2, d mod 2, m), and
+    each of its counts sums n/2 counts mod n, so a triangle balanced mod n is
+    balanced mod 2.  Only the triples whose projection is balanced are
+    counted mod n; for n = 2 the projection is the progression itself and
+    settles it.
 
     With a budget, the scan is refused with BudgetExceeded before any work
     when n^3 m, summed over the admissible lengths m, passes max_states:
-    each such length has n^2 triples, each counted in about n m steps.
+    each such length has n^2 triples, each counted in at most about n m
+    steps.
     """
     if n < 2 or n % 2:
         raise ValueError(f"classification applies to even moduli, got {n}")

@@ -10,6 +10,16 @@ the one above, so the top row determines it: `multiplicities` counts a
 Triangle as the triangle of its top row, and the CLI's `render_triangle` (in
 steinhaus._render) draws it from that row alone.
 
+A progression, a sequence whose consecutive differences are all equal mod n
+(every sequence of one or two terms is one), is counted in closed form,
+without its entries.  It is exact because a progression's rows are
+progressions: AP(a, d, L) derives to AP(2a + d, 2d, L - 1), and a row of
+length L with step d repeats with period n/g, g = gcd(d, n), so it holds
+each residue of the coset a + gZ q times, q, r = divmod(L, n/g), and its
+first r terms once more.  The rows' (a, d) are eventually periodic, so the
+rows fall into few classes, and each class is added to the counts once.
+Any other sequence is counted from its rows, as follows.
+
 Rows are computed packed.  A row of L terms is one integer: its bytes, in
 the machine's byte order, are the terms' lanes of w bytes each, one after
 the other, so a memoryview cast reads the terms back.  w is the least of
@@ -42,6 +52,7 @@ short triangle's whole count, which is why short triangles stay packed.
 
 import sys
 from collections.abc import Iterator
+from math import gcd
 
 from ._value import _set, _Value
 from .admissible import _target
@@ -334,6 +345,75 @@ def _sliced_tally(n: int, m: int):
     return tally
 
 
+def _progression_tally(
+    n: int, a: int, d: int, m: int, cap: int | None = None
+) -> list[int] | None:
+    """Residue counts over the triangle of AP(a, d, m), or None once one passes `cap`.
+
+    AP(a, d, L) derives to AP(2a + d, 2d, L - 1).  A row of length L runs
+    through the coset a + gZ, g = gcd(d, n), with period n/g, so with
+    q, r = divmod(L, n/g) each residue of the coset occurs q times, and the
+    first r terms a, a + d, ... once more.  The walk only adds up each
+    coset's q and counts the rows of each (a, d, r); the counts are built
+    once at the end, from every coset and every distinct run.  (a, d) is
+    eventually periodic, so the rows fall into few distinct runs.  Once
+    (a, d) = (0, 0), a fixed point of the map, every row left is zeros:
+    their L(L+1)/2 entries go to the coset of 0 at once.  A coset's total is
+    a lower bound on each of its counts, and counts only grow, so the walk
+    stops as soon as one passes `cap`.
+    """
+    cosets = {}  # (g, a mod g) -> the q of its rows
+    runs = {}  # (a, d, r) -> its rows
+    for length in range(m, 0, -1):
+        zeros = not a and not d
+        if zeros:
+            g, q, r = n, length * (length + 1) // 2, 0
+        else:
+            g = gcd(d, n)
+            q, r = divmod(length, n // g)
+        if q:
+            key = (g, a % g)
+            total = cosets[key] = cosets.get(key, 0) + q
+            if cap is not None and total > cap:
+                return None
+        if zeros:
+            break
+        if r:
+            key = (a, d, r)
+            runs[key] = runs.get(key, 0) + 1
+        a, d = (2 * a + d) % n, 2 * d % n
+    counts = [0] * n
+    for (g, start), q in cosets.items():
+        coset = slice(start, n, g)
+        counts[coset] = [c + q for c in counts[coset]]
+    for (x, d, r), rows in runs.items():
+        for _ in range(r):
+            counts[x] += rows
+            x = (x + d) % n
+    if cap is not None and max(counts) > cap:
+        return None
+    return counts
+
+
+def _count(terms, n: int, cap: int | None = None):
+    """Residue counts over the triangle of `terms` (residues mod n), or None
+    once one passes `cap`.
+
+    A progression, every sequence of at most two terms included, is counted
+    in closed form; any other sequence bit-sliced when _sliced_tally serves
+    its length and modulus, else packed.
+    """
+    m = len(terms)
+    a = terms[0] if m else 0
+    d = (terms[1] - a) % n if m > 1 else 0
+    if all((y - x) % n == d for x, y in zip(terms, terms[1:])):
+        return _progression_tally(n, a, d, m, cap)
+    sliced = _sliced_tally(n, m)
+    if sliced:
+        return sliced(terms, m * (m + 1) // 2 if cap is None else cap)
+    return _tally(_rows(terms, n), n, cap)
+
+
 def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     """Count every residue among the triangle entries.
 
@@ -344,16 +424,13 @@ def multiplicities(obj: Sequence | Triangle) -> MultiplicityVector:
     n = obj.modulus
     if isinstance(obj, Triangle):
         obj = obj._top
-    m = len(obj.terms)
-    sliced = _sliced_tally(n, m)
-    counts = sliced(obj.terms, m * (m + 1) // 2) if sliced else _tally(_rows(obj.terms, n), n)
-    return MultiplicityVector(n, tuple(counts))
+    return MultiplicityVector(n, tuple(_count(obj.terms, n)))
 
 
 def balanced_terms(terms, n: int) -> bool:
     """Balance check on a plain list of residues, with an early exit.
 
-    The walk stops once a count passes m(m+1)/(2n).  If none ever does, the
+    The tally stops once a count passes m(m+1)/(2n).  If none ever does, the
     counts, each at most that, sum to n times it, so all are equal.  Its
     callers are `is_balanced` and the test oracle of the search.
     """
@@ -363,10 +440,7 @@ def balanced_terms(terms, n: int) -> bool:
     target = _target(n, len(terms))
     if target is None:
         return False
-    sliced = _sliced_tally(n, len(terms))
-    if sliced:
-        return sliced(terms, target) is not None
-    return _tally(_rows(terms, n), n, cap=target) is not None
+    return _count(terms, n, cap=target) is not None
 
 
 def is_balanced(seq: Sequence) -> bool:

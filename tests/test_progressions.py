@@ -30,7 +30,7 @@ from steinhaus import (
     triangle_rows,
 )
 from steinhaus.admissible import _target
-from steinhaus.progressions import _progression_tally
+from steinhaus.sequences import _progression_tally
 
 
 @st.composite
@@ -354,3 +354,28 @@ def classify_by_tally(n, max_length):
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12, 14])
 def test_classify_even_matches_tally(n):
     assert classify_even_progressions(n, 40) == classify_by_tally(n, 40)
+
+
+@st.composite
+def tally_args(draw):
+    # (n, a, d, m): every modulus to 64, powers of two (whose rows reach the
+    # zero fixed point) and a few wide moduli; m to 600, past the period of
+    # the rows' (a, d) for small n and short of it for larger ones
+    n = draw(st.one_of(
+        st.integers(1, 64),
+        st.sampled_from([2**k for k in range(7)]),
+        st.sampled_from([65, 255, 2**14 + 1, 10**5 + 3]),
+    ))
+    a = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    d = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+    return n, a, d, draw(st.integers(0, 600))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tally_args())
+def test_progression_tally_matches_oracle(args):
+    n, a, d, m = args
+    counts = oracle_counts([(a + k * d) % n for k in range(m)], n)
+    assert tuple(_progression_tally(n, a, d, m)) == counts
+    assert tuple(_progression_tally(n, a, d, m, cap=max(counts))) == counts
+    assert _progression_tally(n, a, d, m, cap=max(counts) - 1) is None

@@ -479,6 +479,9 @@ def test_wide_lane_tally_confirms_balanced_constructions(n, m):
     seq = construct_balanced(n, m)
     assert is_balanced(seq)
     assert multiplicities(seq).counts == oracle_counts(seq.terms, n)
+    # a progression's count takes the closed form, so call the packed tally itself
+    target = m * (m + 1) // (2 * n)
+    assert tuple(_tally(_rows(seq.terms, n), n, cap=target)) == oracle_counts(seq.terms, n)
 
 
 @st.composite
@@ -546,6 +549,8 @@ def test_sliced_tally_confirms_long_balanced_constructions(n, m):
     assert len(set(counts)) == 1
     assert counts == tuple(_tally(_rows(seq.terms, n), n))
     assert is_balanced(seq)
+    # a progression's count takes the closed form, so call the kernel itself
+    assert _sliced_tally(n, m)(seq.terms, m * (m + 1) // (2 * n)) == counts
 
 
 @st.composite
@@ -569,3 +574,50 @@ def test_sliced_tally_matches_oracle_with_cap(seq, data):
     assert tally(seq.terms, cap) == expected
     packed = _tally(_rows(seq.terms, n), n, cap=cap)
     assert (packed is None) == (expected is None)
+
+
+# (n, a, d, m): short and long progressions, on one-byte, two-byte and wide
+# lanes, with some balanced ones (the constructions mod 3, 7, 9 and 75).
+PROGRESSIONS = [
+    *((n, n - 1, n // 2, m) for n in (1, 2, 7, 64, 75) for m in (0, 1, 2)),
+    (3, 2, 1, 8), (7, 1, 1, 20), (6, 1, 2, 21), (8, 3, 5, 40), (16, 0, 0, 30),
+    (9, 5, 1, 540), (64, 3, 7, 520), (75, 38, 1, 299), (2**16 + 1, 5, 3, 40),
+]
+
+
+def near_progressions(terms, n):
+    # the progression with its first, middle or last term changed
+    for k in sorted({0, len(terms) // 2, len(terms) - 1}):
+        near = list(terms)
+        near[k] = (near[k] + 1) % n
+        yield near
+
+
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return refused
+
+
+@pytest.mark.parametrize("n, a, d, m", PROGRESSIONS)
+def test_count_routes_progressions_to_the_closed_form(monkeypatch, n, a, d, m):
+    terms = [(a + k * d) % n for k in range(m)]
+    cases = [(terms, True)]
+    if m >= 3 and n >= 2:
+        cases += [(near, False) for near in near_progressions(terms, n)]
+    for terms, progression in cases:
+        counts = oracle_counts(terms, n)
+        with monkeypatch.context() as patch:
+            # only the path this sequence should take is left callable
+            if progression:
+                patch.setattr(sequences_module, "_tally", _refuse("the packed tally"))
+                patch.setattr(sequences_module, "_sliced_tally", _refuse("the sliced tally"))
+            else:
+                patch.setattr(sequences_module, "_progression_tally", _refuse("the closed form"))
+            balanced = len(set(counts)) == 1
+            assert balanced_terms(terms, n) == balanced
+            if m:
+                seq = Sequence(n, tuple(terms))
+                assert multiplicities(seq).counts == counts
+                assert multiplicities(triangle(seq)).counts == counts
+                assert is_balanced(seq) == balanced

@@ -98,3 +98,17 @@ def test_tally_kernels_compile_on_first_use():
         "print(repr([first, second, state()]))"
     )
     assert compiled == [([], False), ([], False), ([5], True)]
+
+
+def test_progression_count_compiles_no_kernel():
+    # A progression of any length is counted in closed form, so counting a
+    # long one neither compiles a bit-sliced kernel nor loads its module.
+    compiled = _child(
+        "import sys\n"
+        "from steinhaus import Sequence, is_balanced, multiplicities\n"
+        "from steinhaus.sequences import _SLICED\n"
+        "seq = Sequence(9, tuple(k % 9 for k in range(1, 541)))\n"
+        "multiplicities(seq), is_balanced(seq)\n"
+        "print(repr([sorted(_SLICED), 'steinhaus._sliced' in sys.modules]))"
+    )
+    assert compiled == [[], False]
