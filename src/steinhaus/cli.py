@@ -101,6 +101,7 @@ def _cmd_derive(args):
 def _cmd_balanced(args):
     from .sequences import multiplicities
     seq = _sequence(args)
+    _check_budget(args, args.n, f"{args.n} residue counts")
     fields, counts = _verdict(multiplicities(seq))
     payload = {"n": seq.modulus, "m": len(seq), **fields}
     return payload, f"balanced: {'yes' if fields['balanced'] else 'no'}\n{counts}"
@@ -118,6 +119,8 @@ def _cmd_admissible(args):
     payload = {"n": args.n, "period": ac.period, "classes": list(ac.residues)}
     lines = [f"period: {ac.period}", f"classes: {_csv(ac.residues)}"]
     if args.max is not None:
+        cost = (args.max // ac.period + 1) * len(ac.residues)
+        _check_budget(args, cost, f"up to {cost} admissible lengths")
         payload["lengths"] = [
             m
             for start in range(0, args.max + 1, ac.period)
@@ -131,7 +134,8 @@ def _cmd_admissible(args):
 def _cmd_construct(args):
     from .progressions import _construction
     ap = _construction(args.n, args.m, args.d, args.family, args.a)
-    # The closed-form tally costs about n per row, and the m terms are printed.
+    # The closed-form tally takes a step per row and fewer than n per distinct
+    # row tail (at most m), and m terms are printed: m*(n + 1) bounds both.
     _check_budget(args, args.m * (args.n + 1), f"{args.m}*({args.n} + 1) steps")
     seq = ap.to_sequence()
     fields, counts = _verdict(ap.multiplicities())

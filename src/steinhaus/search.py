@@ -14,13 +14,14 @@ The candidate space splits by fixed prefixes into blocks, one sequence per
 orbit of the units of Z/nZ: multiplying every term by a unit u multiplies
 every entry of the triangle by u, which permutes the residue counts, so
 balance is kept.  The blocks are the prefixes (0^j, g) with g a proper
-divisor of n, each weighted by the phi(n/g) first terms y with
-gcd(y, n) = g, plus the all-zero sequence.  A count adds up the weighted
-hits; a listing maps each block's hits by one unit per such y, taking
-(0^j, g, ...) onto (0^j, y, ...), and sorts them all once.  With a worker
-pool the blocks are cut several times finer than the pool, so that uneven,
-pruned blocks still share out evenly; the hits are expanded and sorted after
-the blocks are merged, so the report is identical for any worker count.
+divisor of n, plus the all-zero sequence, and each block carries one unit
+per other first term y with gcd(y, n) = g, the one taking (0^j, g, ...)
+onto (0^j, y, ...) (see _blocks).  A count weights a block's hits by
+1 + its number of units, which is phi(n/g); a listing maps each block's hits
+by each of its units and sorts them all once.  With a worker pool the blocks
+are cut several times finer than the pool, so that uneven, pruned blocks
+still share out evenly; the hits are expanded and sorted after the blocks
+are merged, so the report is identical for any worker count.
 """
 
 import itertools
@@ -31,7 +32,6 @@ from functools import partial
 from ._value import _set, _Value
 from .admissible import _target, is_admissible
 from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength
-from .orders import totient
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence, is_balanced
 
@@ -186,38 +186,30 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
 
 
 def _blocks(n: int, m: int, k: int):
-    """(prefix, weight) pairs whose weighted block counts sum to the count.
+    """(prefix, units) pairs, one block per orbit of the units of Z/nZ.
 
-    The blocks are (0^j, g, rest), g a proper divisor of n with weight
-    phi(n/g) and rest any k - j - 1 terms, plus the all-zero sequence.
-    """
-    divisors = [(g, totient(n // g)) for g in range(1, n) if n % g == 0]
-    blocks = [
-        ((0,) * j + (g,) + rest, weight)
-        for j in range(m)
-        for g, weight in divisors
-        for rest in itertools.product(range(n), repeat=max(k - j - 1, 0))
-    ]
-    blocks.append(((0,) * m, 1))
-    return blocks
-
-
-def _unit_tables(n: int) -> dict[int, list[list[int]]]:
-    """For 0 and each proper divisor g of n, the tables t -> u*t mod n of one
-    unit u per residue y != g with gcd(y, n) = gcd(g, n), the one with u*g = y.
-
-    Multiplying by such a u maps the block (0^j, g, ...) onto (0^j, y, ...),
-    one to one, so the block's hits and their images under g's tables are
-    every hit whose first nonzero term has the gcd of g.
+    The blocks are (0^j, g, rest), g a proper divisor of n and rest any
+    k - j - 1 terms, plus the all-zero sequence, which has no units.  A
+    block's units are, for each y != g with gcd(y, n) = g, the first unit u
+    with u*g = y mod n, which maps the block onto (0^j, y, ...) one to one;
+    so 1 + len(units) = phi(n/g).
     """
     units = [u for u in range(2, n) if math.gcd(u, n) == 1]
-    tables = {}
-    for g in [0, *(g for g in range(1, n) if n % g == 0)]:
-        first = {g: 1}
-        for u in units:
-            first.setdefault(u * g % n, u)
-        tables[g] = [[u * t % n for t in range(n)] for y, u in first.items() if y != g]
-    return tables
+    divisors = []
+    for g in range(1, n):
+        if n % g == 0:
+            first = {g: 1}
+            for u in units:
+                first.setdefault(u * g % n, u)
+            divisors.append((g, [u for y, u in first.items() if y != g]))
+    blocks = [
+        ((0,) * j + (g,) + rest, g_units)
+        for j in range(m)
+        for g, g_units in divisors
+        for rest in itertools.product(range(n), repeat=max(k - j - 1, 0))
+    ]
+    blocks.append(((0,) * m, []))
+    return blocks
 
 
 def _witness(n: int, m: int) -> tuple[int, ...] | None:
@@ -240,12 +232,13 @@ def brute_force_balanced(
     holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
     length that is not admissible has no balanced sequence and is answered
     at once.  One sequence per orbit of the units is walked (see _blocks):
-    a count weights each hit by its orbit's size, and a listing maps each
-    block's hits onto the rest of their orbits (see _unit_tables) in this
-    process, after the blocks are merged.  With more than one worker the
-    blocks are cut at the least length k, up to m, with n^k >= 4 * workers,
-    and handed to a process pool.  states_examined is n^m, the size of the
-    space covered, however much of it was pruned or skipped by symmetry.
+    a count weights each hit by its orbit's size, and a listing multiplies
+    each block's hits by the block's units, onto the rest of their orbits,
+    in this process after the blocks are merged.  With more than one worker
+    the blocks are cut at the least length k, up to m, with
+    n^k >= 4 * workers, and handed to a process pool.  states_examined is
+    n^m, the size of the space covered, however much of it was pruned or
+    skipped by symmetry.
     found is sorted lexicographically and is empty in count_only mode.
     """
     if n < 1 or m < 1:
@@ -263,7 +256,7 @@ def brute_force_balanced(
     k = 0
     while workers > 1 and k < m and n**k < _BLOCKS_PER_WORKER * workers:
         k += 1
-    prefixes, weights = zip(*_blocks(n, m, k))
+    prefixes, units = zip(*_blocks(n, m, k))
     scan = partial(_scan_block, n, m, count_only=count_only)
     if workers == 1:
         blocks = [scan(p) for p in prefixes]
@@ -272,15 +265,14 @@ def brute_force_balanced(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
-    count = sum(w * c for w, (_, c) in zip(weights, blocks))
+    count = sum((1 + len(us)) * c for us, (_, c) in zip(units, blocks))
     found = ()
     if not count_only:
-        tables = _unit_tables(n)
         hits = [hit for block_found, _ in blocks for hit in block_found]
         hits += [
-            tuple(map(table.__getitem__, hit))
-            for prefix, (block_found, _) in zip(prefixes, blocks)
-            for table in tables[next(filter(None, prefix), 0)]
+            tuple(u * t % n for t in hit)
+            for us, (block_found, _) in zip(units, blocks)
+            for u in us
             for hit in block_found
         ]
         found = tuple(Sequence._trusted(n, t) for t in sorted(hits))

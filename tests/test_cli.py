@@ -249,6 +249,46 @@ def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     assert code == 0
 
 
+def test_balanced_checks_its_residue_counts_against_the_state_cap(capsys, monkeypatch):
+    # a two-term sequence has a 3-entry triangle, but n residue counts
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", "10")
+    code, out, err = invoke(capsys, "balanced", "--n", "11", "--seq", "1,2")
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+    code, _, _ = invoke(capsys, "balanced", "--n", "10", "--seq", "1,2")
+    assert code == 0
+
+
+def test_huge_modulus_balanced_is_refused_before_any_work(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the budget check must come first")
+
+    monkeypatch.delenv("STEINHAUS_MAX_STATES", raising=False)
+    monkeypatch.setattr("steinhaus.sequences._count", never)
+    code, out, err = invoke(capsys, "balanced", "--n", str(2**40), "--seq", "1,2")
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+
+
+@pytest.mark.parametrize("n, bound", [(4, 60), (6, 7), (720720, 150000)])
+def test_admissible_lengths_check_the_state_cap(capsys, monkeypatch, n, bound):
+    # (max // period + 1) * classes bounds the lengths listed
+    ac = admissible_classes(n)
+    cost = (bound // ac.period + 1) * len(ac.residues)
+    argv = ("admissible", "--n", str(n), "--max", str(bound))
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str(cost - 1))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str(cost))
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()[-1].split(",")) <= cost
+
+
 @pytest.mark.parametrize("argv, cost", [
     (("construct", "--n", "3", "--m", "8"), 8 * (3 + 1)),  # m * (n + 1)
     # n^3 * m over the admissible m <= 8 mod 4, which are 7 and 8

@@ -25,7 +25,8 @@ from steinhaus import (
     molluzzo_probe,
 )
 from steinhaus.progressions import _construction
-from steinhaus.search import _pool_size, _scan_block, _witness, _within_budget
+from steinhaus.orders import totient
+from steinhaus.search import _blocks, _pool_size, _scan_block, _witness, _within_budget
 
 
 def seqs(n, rows):
@@ -186,6 +187,47 @@ def test_listing_matches_odometer_past_the_cap(n, m):
     listing = odometer_report(n, m)
     for workers in (1, 2):
         assert brute_force_balanced(n, m, SearchBudget(workers=workers)) == listing, workers
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_block_units_describe_the_orbit(n):
+    # a block (0^j, g, ...) carries one unit u per other first term y with
+    # gcd(y, n) = g, the one with u*g = y, so 1 + len(units) = phi(n/g)
+    for prefix, units in _blocks(n, 1, 0):
+        if not any(prefix):
+            assert units == []
+            continue
+        g = prefix[-1]
+        assert 1 + len(units) == totient(n // g), (n, g)
+        assert all(math.gcd(u, n) == 1 for u in units), (n, g)
+        images = [u * g % n for u in units]
+        assert len(set(images)) == len(images), (n, g)
+        assert {g, *images} == {y for y in range(n) if math.gcd(y, n) == g}, (n, g)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_block_prefixes_in_order(n):
+    # (0^j, g, rest) for j < m, g a proper divisor and rest any k - j - 1
+    # terms, in that order, then the all-zero sequence
+    divisors = [g for g in range(1, n) if n % g == 0]
+    for m in range(1, 6):
+        for k in range(4):
+            expected = [
+                (0,) * j + (g,) + rest
+                for j in range(m)
+                for g in divisors
+                for rest in sorted(product_of(n, k - j - 1))
+            ]
+            expected.append((0,) * m)
+            assert [prefix for prefix, _ in _blocks(n, m, k)] == expected, (n, m, k)
+
+
+def product_of(n, length):
+    """Every tuple of `length` residues mod n, the empty one for length <= 0."""
+    tuples = [()]
+    for _ in range(length):
+        tuples = [t + (x,) for t in tuples for x in range(n)]
+    return tuples
 
 
 # every admissible (n, m) with n <= 9 and n^m <= 10^5, n = 1 up to m = 16
