@@ -21,10 +21,6 @@ class NotADivisor(SteinhausError):
     """The projection target does not divide the modulus."""
 
 
-class NotPrime(SteinhausError):
-    """A prime was required."""
-
-
 class NotCoprime(SteinhausError):
     """The arguments share a common factor."""
 

@@ -70,8 +70,8 @@ class ArithmeticProgression(_Value):
     def multiplicities(self) -> MultiplicityVector:
         """Residue counts over the whole triangle, without its entries: a few
         operations per row, and O(n) once per distinct class of rows."""
-        n = self.modulus
-        counts = _progression_tally(n, self.start, self.step, self.length)
+        n, m = self.modulus, self.length
+        counts = _progression_tally(n, self.start, self.step, m, m * (m + 1) // 2)
         return MultiplicityVector(n, tuple(counts))
 
     def is_balanced(self) -> bool:

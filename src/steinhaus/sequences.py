@@ -30,6 +30,8 @@ and dropping the top lane leaves the row below, still unreduced.  Adding
 2^(8w-1) - n to every lane sets a lane's top bit exactly when its sum is at
 least n, which picks out the lanes that need n subtracted, with no branch
 per term.  Rows of one-byte lanes come out as bytes, wider ones as tuples.
+They are counted entry by entry, and a balance check stops at the first
+entry that takes a count past its target.
 
 The residues of a generating sequence of at least 512 terms mod n <= 64
 are counted bit-sliced instead.  A row of L entries is
@@ -40,14 +42,15 @@ that subtracts n wherever the sum is at least n.  Residue r's count in a row
 is the popcount of the AND of plane k, or of its complement, over every k,
 taken down a tree from the top plane that shares the common prefixes of the
 residues.  So a row costs about 10b + 2n whole-row operations and n
-popcounts, where counting packed bytes costs n passes over the row.  The
-adder, the chain and the tree are written out as straight-line source for
-each modulus (by steinhaus._sliced) and compiled on first use, never at
-import: run as loops over the planes and the tree, the same steps pay the
-interpreter's loop overhead per plane and per node.  On rows of 1500 terms,
-n from 2 to 43, the loops ran 1.2-2.3 times as fast as the packed count and
-the compiled source 2.7-6.5 times.  Compiling costs 0.3 to 5 ms, more than a
-short triangle's whole count, which is why short triangles stay packed.
+popcounts, where counting entry by entry costs an interpreter step per
+entry.  The adder, the chain and the tree are written out as straight-line
+source for each modulus (by steinhaus._sliced) and compiled on first use,
+never at import: run as loops over the planes and the tree, the same steps
+pay the interpreter's loop overhead per plane and per node.  On rows of 1500
+terms the compiled source ran 3.5 times as fast as counting entry by entry
+at n = 43 and 45 times at n = 2.  Compiling costs 0.2 to 5 ms, more than a
+short triangle's whole count, which is why short triangles are counted entry
+by entry.
 """
 
 import sys
@@ -305,36 +308,28 @@ def triangle(seq: Sequence) -> Triangle:
     return t
 
 
-def _tally(rows, n: int, cap: int | None = None) -> list[int] | None:
-    """Residue counts over the entries of `rows`, or None once one passes `cap`.
-
-    A row of one-byte lanes at least 8n long is counted with one bytes.count
-    per residue (bytes(row) is the row itself when it is bytes already); any
-    other row entry by entry, which is faster on short rows.
-    """
+def _tally(rows, n: int, cap: int) -> list[int] | None:
+    """Residue counts over the entries of `rows`, counted entry by entry, or
+    None at the first entry that takes a count past `cap`."""
     counts = [0] * n
-    shortest = 8 * n if _lane_width(n) == 1 else sys.maxsize
     for row in rows:
-        if len(row) >= shortest:
-            row = bytes(row)
-            counts = [c + row.count(v) for v, c in enumerate(counts)]
-        else:
-            for v in row:
-                counts[v] += 1
-        if cap is not None and max(counts) > cap:
-            return None
+        for v in row:
+            c = counts[v] = counts[v] + 1
+            if c > cap:
+                return None
     return counts
 
 
 _SLICED = {}  # modulus -> its bit-sliced tally, compiled on first use
-# From about this many terms (131,328 entries) on, one call saves more over
-# the packed tally than compiling the bit-sliced one costs, at every n <= 64.
+# From this many terms (131,328 entries) on, one call saves more over _tally
+# than compiling the bit-sliced kernel costs at n <= 40, and about breaks even
+# at 41 <= n <= 64; from 768 terms on it saves more at every n <= 64.
 _SLICED_MIN_TERMS = 512
 
 
 def _sliced_tally(n: int, m: int):
-    """The bit-sliced tally(terms, cap) for m terms mod n, or None where the
-    packed tally counts instead: fewer than _SLICED_MIN_TERMS terms, or
+    """The bit-sliced tally(terms, cap) for m terms mod n, or None where _tally
+    counts entry by entry instead: fewer than _SLICED_MIN_TERMS terms, or
     n > 64.  Like _tally, it returns None once a count passes cap."""
     if m < _SLICED_MIN_TERMS or _lane_width(n) != 1:
         return None
@@ -345,9 +340,7 @@ def _sliced_tally(n: int, m: int):
     return tally
 
 
-def _progression_tally(
-    n: int, a: int, d: int, m: int, cap: int | None = None
-) -> list[int] | None:
+def _progression_tally(n: int, a: int, d: int, m: int, cap: int) -> list[int] | None:
     """Residue counts over the triangle of AP(a, d, m), or None once one passes `cap`.
 
     AP(a, d, L) derives to AP(2a + d, 2d, L - 1).  A row of length L runs
@@ -374,7 +367,7 @@ def _progression_tally(
         if q:
             key = (g, a % g)
             total = cosets[key] = cosets.get(key, 0) + q
-            if cap is not None and total > cap:
+            if total > cap:
                 return None
         if zeros:
             break
@@ -390,27 +383,29 @@ def _progression_tally(
         for _ in range(r):
             counts[x] += rows
             x = (x + d) % n
-    if cap is not None and max(counts) > cap:
+    if max(counts) > cap:
         return None
     return counts
 
 
 def _count(terms, n: int, cap: int | None = None):
     """Residue counts over the triangle of `terms` (residues mod n), or None
-    once one passes `cap`.
+    once one passes `cap`, by default the number of entries.
 
     A progression, every sequence of at most two terms included, is counted
     in closed form; any other sequence bit-sliced when _sliced_tally serves
-    its length and modulus, else packed.
+    its length and modulus, else entry by entry over its packed rows.
     """
     m = len(terms)
+    if cap is None:
+        cap = m * (m + 1) // 2
     a = terms[0] if m else 0
     d = (terms[1] - a) % n if m > 1 else 0
     if all((y - x) % n == d for x, y in zip(terms, terms[1:])):
         return _progression_tally(n, a, d, m, cap)
     sliced = _sliced_tally(n, m)
     if sliced:
-        return sliced(terms, m * (m + 1) // 2 if cap is None else cap)
+        return sliced(terms, cap)
     return _tally(_rows(terms, n), n, cap)
 
 

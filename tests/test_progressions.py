@@ -329,7 +329,7 @@ def test_tally_matches_oracle_past_the_zero_fixed_point(n):
         for d in range(n):
             m = rng.randrange(1, 70)
             counts = oracle_counts(ArithmeticProgression(n, a, d, m).to_sequence().terms, n)
-            assert tuple(_progression_tally(n, a, d, m)) == counts
+            assert tuple(_progression_tally(n, a, d, m, m * (m + 1) // 2)) == counts
             caps = {max(counts) - 1, max(counts), counts[0] - 1, counts[0], _target(n, m)}
             for cap in caps - {None, -1}:
                 got = _progression_tally(n, a, d, m, cap)
@@ -376,6 +376,6 @@ def tally_args(draw):
 def test_progression_tally_matches_oracle(args):
     n, a, d, m = args
     counts = oracle_counts([(a + k * d) % n for k in range(m)], n)
-    assert tuple(_progression_tally(n, a, d, m)) == counts
+    assert tuple(_progression_tally(n, a, d, m, m * (m + 1) // 2)) == counts
     assert tuple(_progression_tally(n, a, d, m, cap=max(counts))) == counts
     assert _progression_tally(n, a, d, m, cap=max(counts) - 1) is None

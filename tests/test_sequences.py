@@ -479,7 +479,7 @@ def test_wide_lane_tally_confirms_balanced_constructions(n, m):
     seq = construct_balanced(n, m)
     assert is_balanced(seq)
     assert multiplicities(seq).counts == oracle_counts(seq.terms, n)
-    # a progression's count takes the closed form, so call the packed tally itself
+    # a progression's count takes the closed form, so call the row tally itself
     target = m * (m + 1) // (2 * n)
     assert tuple(_tally(_rows(seq.terms, n), n, cap=target)) == oracle_counts(seq.terms, n)
 
@@ -535,7 +535,7 @@ def test_sliced_tally_serves_long_triangles(n):
     rng = random.Random(n)
     for m in (511, 512):
         terms = tuple(rng.randrange(n) for _ in range(m))
-        counts = tuple(_tally(_rows(terms, n), n))
+        counts = oracle_counts(terms, n)
         assert multiplicities(Sequence(n, terms)).counts == counts
         assert balanced_terms(terms, n) == (len(set(counts)) == 1)
 
@@ -547,10 +547,25 @@ def test_sliced_tally_confirms_long_balanced_constructions(n, m):
     seq = construct_balanced(n, m)
     counts = multiplicities(seq).counts
     assert len(set(counts)) == 1
-    assert counts == tuple(_tally(_rows(seq.terms, n), n))
+    assert counts == tuple(_tally(_rows(seq.terms, n), n, m * (m + 1) // 2))
     assert is_balanced(seq)
     # a progression's count takes the closed form, so call the kernel itself
     assert _sliced_tally(n, m)(seq.terms, m * (m + 1) // (2 * n)) == counts
+
+
+class _TwoZerosThenFail:
+    # a row of two entries, 0 and 0, whose reader fails past the second
+    def __len__(self):
+        return 2
+
+    def __iter__(self):
+        yield 0
+        yield 0
+        raise AssertionError("the tally read past the entry that passed its cap")
+
+
+def test_tally_stops_at_the_first_entry_past_the_cap():
+    assert _tally([_TwoZerosThenFail()], 3, cap=1) is None
 
 
 @st.composite
@@ -568,12 +583,12 @@ def test_sliced_tally_matches_oracle_with_cap(seq, data):
     tally = compile_tally(n)
     counts = oracle_counts(seq.terms, n)
     assert tally(seq.terms, m * (m + 1) // 2) == counts
-    # with a cap: None exactly when a count passes it, like the packed tally
+    # with a cap: None exactly when a count passes it, like the row tally
     cap = data.draw(st.integers(0, max(counts)))
     expected = None if max(counts) > cap else counts
     assert tally(seq.terms, cap) == expected
-    packed = _tally(_rows(seq.terms, n), n, cap=cap)
-    assert (packed is None) == (expected is None)
+    by_row = _tally(_rows(seq.terms, n), n, cap=cap)
+    assert (by_row is None) == (expected is None)
 
 
 # (n, a, d, m): short and long progressions, on one-byte, two-byte and wide
@@ -610,7 +625,7 @@ def test_count_routes_progressions_to_the_closed_form(monkeypatch, n, a, d, m):
         with monkeypatch.context() as patch:
             # only the path this sequence should take is left callable
             if progression:
-                patch.setattr(sequences_module, "_tally", _refuse("the packed tally"))
+                patch.setattr(sequences_module, "_tally", _refuse("the row tally"))
                 patch.setattr(sequences_module, "_sliced_tally", _refuse("the sliced tally"))
             else:
                 patch.setattr(sequences_module, "_progression_tally", _refuse("the closed form"))
