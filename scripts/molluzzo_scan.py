@@ -9,8 +9,13 @@ admissible length in the range.
 
 import argparse
 
-from steinhaus import BudgetExceeded, SearchBudget, is_admissible, molluzzo_probe
-from steinhaus.search import DEFAULT_MAX_STATES
+from steinhaus import (
+    DEFAULT_MAX_STATES,
+    BudgetExceeded,
+    SearchBudget,
+    admissible_classes,
+    molluzzo_probe,
+)
 
 
 def main():
@@ -27,9 +32,7 @@ def main():
 
     budget = SearchBudget(max_states=args.max_states)
     verdicts = {True: "balanced", False: "none exist"}
-    for m in range(1, args.max_m + 1):
-        if not is_admissible(args.n, m):
-            continue
+    for m in admissible_classes(args.n).lengths(args.max_m):
         try:
             verdict = verdicts[molluzzo_probe(args.n, m, budget)]
         except BudgetExceeded:

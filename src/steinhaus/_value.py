@@ -20,9 +20,9 @@ class _Value:
 
     def __init_subclass__(cls):
         names = cls.__match_args__ = cls.__dict__.get("__match_args__", cls.__slots__)
-        get = attrgetter(*names)
-        # _fields(obj) is a tuple even for one field, where attrgetter is not.
-        cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+        # For one name attrgetter returns the value, not a 1-tuple, so a class
+        # with one field overrides __eq__, __hash__ and __reduce__, its readers.
+        cls._fields = attrgetter(*names)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -26,6 +26,15 @@ class AdmissibleClasses(_Value):
     def __contains__(self, m: int) -> bool:
         return m % self.period in self.residues
 
+    def lengths(self, upto: int):
+        """The admissible m in 1..upto, increasing when residues are sorted."""
+        return (
+            m
+            for start in range(0, upto + 1, self.period)
+            for r in self.residues
+            if 0 < (m := start + r) <= upto
+        )
+
 
 def admissible_classes(n: int) -> AdmissibleClasses:
     """All classes of lengths m with n | m(m+1)/2.

@@ -48,12 +48,6 @@ def _max_states(args) -> int:
     return max_states
 
 
-def _budget(args, workers: int = 1):
-    """The SearchBudget of a search or probe."""
-    from .search import SearchBudget
-    return SearchBudget(max_states=_max_states(args), workers=workers)
-
-
 def _check_budget(args, cost: int, what: str) -> None:
     """Refuse a command whose cost passes the state cap, before any of its work."""
     cap = _max_states(args)
@@ -92,8 +86,8 @@ def _cmd_triangle(args):
 
 
 def _cmd_derive(args):
-    from .sequences import Sequence, derive, derive_iterated
-    seq = Sequence.from_text(args.n, args.seq)
+    from .sequences import derive, derive_iterated
+    seq = _sequence(args)
     out = derive(seq) if args.i == 1 else derive_iterated(seq, args.i)
     return {"n": out.modulus, "m": len(out), "seq": list(out.terms)}, out.to_text()
 
@@ -121,12 +115,7 @@ def _cmd_admissible(args):
     if args.max is not None:
         cost = (args.max // ac.period + 1) * len(ac.residues)
         _check_budget(args, cost, f"up to {cost} admissible lengths")
-        payload["lengths"] = [
-            m
-            for start in range(0, args.max + 1, ac.period)
-            for r in ac.residues
-            if 0 < (m := start + r) <= args.max
-        ]
+        payload["lengths"] = list(ac.lengths(args.max))
         lines.append(f"lengths: {_csv(payload['lengths'])}")
     return payload, "\n".join(lines)
 
@@ -144,8 +133,8 @@ def _cmd_construct(args):
 
 
 def _cmd_search(args):
-    from .search import brute_force_balanced
-    budget = _budget(args, args.workers)
+    from .search import SearchBudget, brute_force_balanced
+    budget = SearchBudget(_max_states(args), args.workers)
     report = brute_force_balanced(args.n, args.m, budget, count_only=args.count_only)
     payload = {
         "n": args.n,
@@ -160,8 +149,8 @@ def _cmd_search(args):
 
 
 def _cmd_classify_even(args):
-    from .search import classify_even_progressions
-    aps = classify_even_progressions(args.n, args.max_m, _budget(args))
+    from .search import SearchBudget, classify_even_progressions
+    aps = classify_even_progressions(args.n, args.max_m, SearchBudget(_max_states(args)))
     seqs = [ap.to_sequence() for ap in aps]
     payload = {"n": args.n, "count": len(aps), "found": [list(s.terms) for s in seqs]}
     lines = [
@@ -172,8 +161,8 @@ def _cmd_classify_even(args):
 
 
 def _cmd_probe(args):
-    from .search import molluzzo_probe
-    exists = molluzzo_probe(args.n, args.m, _budget(args))
+    from .search import SearchBudget, molluzzo_probe
+    exists = molluzzo_probe(args.n, args.m, SearchBudget(_max_states(args)))
     return {"n": args.n, "m": args.m, "balanced": exists}, "yes" if exists else "no"
 
 

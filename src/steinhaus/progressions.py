@@ -43,16 +43,17 @@ class ArithmeticProgression(_Value):
         """The progression generating the i-th derived sequence.
 
         Derivation doubles the step and shifts the start; after i steps the
-        start is 2^i * a + i * 2^(i-1) * d, where the integer coefficient
-        i * 2^(i-1) reduces mod n as (i mod n) * (2^(i-1) mod n).
+        start is 2^i * a + i * 2^(i-1) * d = 2^(i-1) * (2a + i d) and the step
+        2^i * d, both reduced mod n with i mod n and one power 2^(i-1) mod n.
         """
         if not 0 <= i <= self.length - 1:
             raise IndexOutOfRange(f"derivation count {i} outside 0..{self.length - 1}")
         if i == 0:
             return self
         n = self.modulus
-        start = (pow(2, i, n) * self.start + pow(2, i - 1, n) * (i % n) * self.step) % n
-        return ArithmeticProgression(n, start, pow(2, i, n) * self.step % n, self.length - i)
+        p = pow(2, i - 1, n)
+        start = p * (2 * self.start + (i % n) * self.step) % n
+        return ArithmeticProgression(n, start, 2 * p * self.step % n, self.length - i)
 
     def entry(self, i: int, j: int) -> int:
         """Triangle entry in row i, column j (1-based), without materializing."""

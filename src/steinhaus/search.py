@@ -30,7 +30,7 @@ import os
 from functools import partial
 
 from ._value import _set, _Value
-from .admissible import _target, is_admissible
+from .admissible import _target, admissible_classes, is_admissible
 from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence, is_balanced
@@ -84,52 +84,25 @@ def _pool_size(workers: int, blocks: int) -> int:
     return min(workers, os.cpu_count() or 1, blocks)
 
 
-def _children(n: int, target: int, diagonal: list[int], counts: list[int]):
-    """The children of a prefix that stay within target, last term first.
-
-    Appending x to a prefix whose right-edge diagonal is p_1..p_k adds the
-    diagonal d_1 = x, d_i = p_{i-1} + d_{i-1} to its triangle.  Returns the
-    node (k + 1, x, that diagonal, the counts it leaves) for each x, in
-    decreasing order, that pushes no residue count past target.
-    """
-    children = []
-    depth = len(diagonal) + 1
-    for x in range(n - 1, -1, -1):
-        if counts[x] == target:
-            continue
-        child = counts.copy()
-        child[x] += 1
-        extended = [x]
-        d = x
-        for p in diagonal:
-            d = (p + d) % n
-            c = child[d] + 1
-            if c > target:
-                break
-            child[d] = c
-            extended.append(d)
-        else:
-            children.append((depth, x, extended, child))
-    return children
-
-
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
     """Find the balanced length-m sequences that start with `prefix`.
 
     Depth-first search from the empty sequence, terms tried in increasing
     order, so hits come out in lexicographic order.  A node is (depth, last
     term, right-edge diagonal, tally) for a prefix of that length, and one
-    child rule extends it: a child whose diagonal pushes a residue count past
+    child rule extends it: appending x to a prefix whose diagonal is
+    d_1..d_k adds the diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its
+    triangle, and a child whose diagonal pushes a residue count past
     target = m(m+1)/(2n) is pruned with its whole subtree.  For n != 2 the
-    diagonal is a list and the tally the list of residue counts, extended by
-    _children.  For n = 2 the diagonal d_1..d_k is an int, d_i in bit i - 1,
-    and the tally is the number of ones.  Child x's diagonal is
-    x, x + d_1, x + d_1 + d_2, ...: the prefix XOR S of d, taken by doubling
-    (S ^= S << 1, << 2, << 4, ...), shifted up a bit and, for x = 1, flipped
-    in all k + 1 bits.  Its ones are the tally plus that diagonal's
-    popcount, and its zeros the (k + 1)(k + 2)/2 entries of its triangle
-    minus its ones.  At each depth inside `prefix` only the child with the
-    prefix's term is kept.
+    diagonal is a list and the tally the list of residue counts, and each
+    child x, from n - 1 down, is tallied entry by entry until a count passes
+    target.  For n = 2 the diagonal is an int, d_i in bit i - 1, and the
+    tally is the number of ones.  Child x's diagonal is the prefix XOR S of
+    d, taken by doubling (S ^= S << 1, << 2, << 4, ...), shifted up a bit
+    and, for x = 1, flipped in all k + 1 bits.  Its ones are the tally plus
+    that diagonal's popcount, and its zeros the (k + 1)(k + 2)/2 entries of
+    its triangle minus its ones.  At each depth inside `prefix` only the
+    child with the prefix's term is kept.
     The children of a length m - 1 prefix are full sequences whose counts
     all stay within target and sum to n * target, so they are exactly the
     balanced completions.  A length that is not admissible has an empty
@@ -152,6 +125,7 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
         depth, last, diagonal, tally = pending.pop()
         if depth:
             terms[depth - 1] = last
+        children = []
         if binary:
             shift = 1
             while shift < depth:
@@ -163,13 +137,27 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
             tally1 = 2 * tally + depth + 1 - tally0
             # a child keeps at most target ones and at most target zeros
             low = (depth + 1) * (depth + 2) // 2 - target
-            children = []
             if low <= tally1 <= target:
                 children.append((depth + 1, 1, zero ^ full, tally1))
             if low <= tally0 <= target:
                 children.append((depth + 1, 0, zero, tally0))
         else:
-            children = _children(n, target, diagonal, tally)
+            for x in range(n - 1, -1, -1):
+                if tally[x] == target:
+                    continue
+                child = tally.copy()
+                child[x] += 1
+                extended = [x]
+                d = x
+                for p in diagonal:
+                    d = (p + d) % n
+                    c = child[d] + 1
+                    if c > target:
+                        break
+                    child[d] = c
+                    extended.append(d)
+                else:
+                    children.append((depth + 1, x, extended, child))
         if depth < len(prefix):
             children = [c for c in children if c[1] == prefix[depth]]
         if depth < m - 1:
@@ -297,24 +285,25 @@ def classify_even_progressions(
     With a budget, the scan is refused with BudgetExceeded before any work
     when n^3 m, summed over the admissible lengths m, passes max_states:
     each such length has n^2 triples, each counted in at most about n m
-    steps.
+    steps.  The admissible lengths come from admissible_classes(n), which
+    refuses, with BudgetExceeded, an n that trial division up to 10^6
+    cannot factor.
     """
     if n < 2 or n % 2:
         raise ValueError(f"classification applies to even moduli, got {n}")
     if max_length < 1:
         raise ValueError(f"max_length must be positive, got {max_length}")
+    classes = admissible_classes(n)
     if budget is not None:
         cost = 0
-        for m in range(1, max_length + 1):
-            if _target(n, m) is not None and (cost := cost + n**3 * m) > budget.max_states:
+        for m in classes.lengths(max_length):
+            if (cost := cost + n**3 * m) > budget.max_states:
                 raise BudgetExceeded(
                     f"{n}^3 m steps over the admissible m up to {max_length}"
                     f" exceed the budget of {budget.max_states}"
                 )
     hits = []
-    for m in range(1, max_length + 1):
-        if _target(n, m) is None:
-            continue
+    for m in classes.lengths(max_length):
         parities = {
             (x, y) for x in (0, 1) for y in (0, 1) if ArithmeticProgression(2, x, y, m).is_balanced()
         }

@@ -47,6 +47,8 @@ def test_admissible_classes_agree_with_divisibility():
         ac = admissible_classes(n)
         for m in range(1, 4 * n + 1):
             assert is_admissible(n, m) == (m in ac)
+        for b in (-1, 0, 1, ac.period - 1, ac.period, 4 * n):
+            assert list(ac.lengths(b)) == [m for m in range(1, b + 1) if is_admissible(n, m)]
 
 
 def test_is_admissible_known_values():

@@ -236,7 +236,7 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     assert "BudgetExceeded" in err
 
 
-@pytest.mark.parametrize("command", ["triangle", "balanced"])
+@pytest.mark.parametrize("command", ["triangle", "derive", "balanced"])
 def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     # a 5-term sequence has a 15-entry triangle
     monkeypatch.setenv("STEINHAUS_MAX_STATES", "10")

@@ -8,7 +8,21 @@ from pathlib import Path
 
 import pytest
 
+from steinhaus import is_admissible
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script_lines(argv):
+    # tests/conftest.py puts src/ on the PYTHONPATH that the child inherits
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -20,15 +34,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_script_runs(argv, first_line):
-    # tests/conftest.py puts src/ on the PYTHONPATH that the child inherits
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == first_line
+    assert _script_lines(argv)[0] == first_line
+
+
+def test_molluzzo_scan_prints_every_admissible_length():
+    lines = _script_lines(["molluzzo_scan.py", "--n", "6", "--max-m", "24"])
+    lengths = [m for m in range(1, 25) if is_admissible(6, m)]
+    assert [line.split(":")[0] for line in lines] == [f"m={m}" for m in lengths]
 
 
 def _load_bench_pairs():

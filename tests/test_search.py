@@ -335,7 +335,7 @@ def test_scan_block_first_hit_matches_odometer(case):
 def test_binary_counts_past_the_acceptance_table():
     assert is_balanced(Sequence(2, BALANCED_35))
     # two independent rules agree on these counts: the word-parallel one
-    # that n = 2 runs, and the list rule _children run on n = 2
+    # that n = 2 runs, and the list rule of every other n, run on n = 2
     assert brute_force_balanced(2, 19, count_only=True).count == 32757
     assert brute_force_balanced(2, 20, count_only=True).count == 59984
 

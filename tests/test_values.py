@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import steinhaus
 from steinhaus import (
     DEFAULT_MAX_STATES,
     AdmissibleClasses,
@@ -142,6 +143,25 @@ def test_replace_called_directly(case):
     assert obj.__replace__() == obj
     with pytest.raises(TypeError):
         obj.__replace__(no_such_field=1)
+
+
+def test_one_field_classes_override_every_reader_of_fields():
+    # _fields is attrgetter(*names), which returns a bare value, not a
+    # 1-tuple, for one name; only the overrides keep such a class correct.
+    from steinhaus._value import _Value
+
+    for name in steinhaus.__all__:
+        getattr(steinhaus, name)  # import every submodule, and so every class
+    classes, one_field = [_Value], []
+    while classes:
+        cls = classes.pop()
+        classes += cls.__subclasses__()
+        if cls is not _Value and len(cls.__match_args__) == 1:
+            one_field.append(cls)
+    assert Triangle in one_field
+    for cls in one_field:
+        for method in ("__eq__", "__hash__", "__reduce__"):
+            assert method in cls.__dict__, f"{cls.__name__} must override {method}"
 
 
 def test_search_budget_defaults():
