@@ -15,8 +15,10 @@ there already, its runs are kept: the new pairs take the next seeds of the
 workload, and the summary is worked out again over all of them.  A file of
 other shas or another run length is refused.  Besides the runs, the file
 holds both shas, the run length, the Python version, the CPU count and, per
-workload and end-to-end metric, the quartiles of each side and the number of
-pairs the change won (ties win for neither side).
+workload and end-to-end metric, the quartiles of each side, the number of
+pairs the change won (ties win for neither side), the change's median over the
+parent's minus 1, and whether that is a gain: the change won at least nine
+tenths of the pairs and its median is better by more than the parent's q3 - q1.
 """
 
 import argparse
@@ -41,7 +43,8 @@ def quartiles(values) -> dict:
 
 
 def summarize(runs, better: dict) -> dict:
-    """Per workload and metric: the pairs, each side's quartiles and the change's wins.
+    """Per workload and metric: the pairs, each side's quartiles, the change's
+    wins, its median's relative change and whether it is a gain.
 
     `runs` are run records (workload, seed, side, result); a pair is the
     parent and change runs of one workload and seed.  `better` maps each
@@ -59,13 +62,17 @@ def summarize(runs, better: dict) -> dict:
         summary[workload] = {}
         for metric, direction in better.items():
             sign = 1 if direction == "lower" else -1
-            parent = [p[metric]["value"] for p, _ in pairs]
-            change = [c[metric]["value"] for _, c in pairs]
+            parent = quartiles([p[metric]["value"] for p, _ in pairs])
+            change = quartiles([c[metric]["value"] for _, c in pairs])
+            wins = sum(sign * (c[metric]["value"] - p[metric]["value"]) < 0 for p, c in pairs)
+            gap = sign * (parent["median"] - change["median"])
             summary[workload][metric] = {
                 "pairs": len(pairs),
-                "parent": quartiles(parent),
-                "change": quartiles(change),
-                "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+                "parent": parent,
+                "change": change,
+                "change_wins": wins,
+                "median_change": round(change["median"] / parent["median"] - 1, 5),
+                "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
             }
     return summary
 

@@ -20,6 +20,10 @@ class AdmissibleClasses(_Value):
     __slots__ = ("period", "residues")
 
     def __init__(self, period: int, residues: tuple[int, ...]):
+        if period < 1:
+            raise ValueError(f"period must be positive, got {period}")
+        if not all(0 <= r < s for r, s in zip(residues, (*residues[1:], period))):
+            raise ValueError(f"residues must be strictly increasing within 0..{period - 1}")
         _set(self, "period", period)
         _set(self, "residues", residues)
 
@@ -27,7 +31,7 @@ class AdmissibleClasses(_Value):
         return m % self.period in self.residues
 
     def lengths(self, upto: int):
-        """The admissible m in 1..upto, increasing when residues are sorted."""
+        """The admissible m in 1..upto, increasing."""
         return (
             m
             for start in range(0, upto + 1, self.period)

@@ -18,7 +18,10 @@ from .sequences import MultiplicityVector, Sequence, _progression_tally
 class ArithmeticProgression(_Value):
     """start, start + step, ..., with `length` terms, all mod `modulus`."""
 
-    __slots__ = ("modulus", "start", "step", "length")
+    # _last_row: a one-item list of the last row `entry` read, one tuple (i, start_i,
+    # step_i) stored at once; a list item store is far cheaper than _set on a slot.
+    __slots__ = ("modulus", "start", "step", "length", "_last_row")
+    __match_args__ = ("modulus", "start", "step", "length")
 
     def __init__(self, modulus: int, start: int, step: int, length: int):
         if modulus < 1:
@@ -32,6 +35,7 @@ class ArithmeticProgression(_Value):
         _set(self, "start", start)
         _set(self, "step", step)
         _set(self, "length", length)
+        _set(self, "_last_row", [(1, start, step)])
 
     def to_sequence(self) -> Sequence:
         n = self.modulus
@@ -40,33 +44,38 @@ class ArithmeticProgression(_Value):
         )
 
     def derived(self, i: int) -> "ArithmeticProgression":
-        """The progression generating the i-th derived sequence.
-
-        Derivation doubles the step and shifts the start; after i steps the
-        start is 2^i * a + i * 2^(i-1) * d = 2^(i-1) * (2a + i d) and the step
-        2^i * d, both reduced mod n with i mod n and one power 2^(i-1) mod n.
-        """
+        """The progression generating the i-th derived sequence."""
         if not 0 <= i <= self.length - 1:
             raise IndexOutOfRange(f"derivation count {i} outside 0..{self.length - 1}")
-        if i == 0:
-            return self
-        n = self.modulus
-        p = pow(2, i - 1, n)
-        start = p * (2 * self.start + (i % n) * self.step) % n
-        return ArithmeticProgression(n, start, 2 * p * self.step % n, self.length - i)
+        _, start, step = self._row(i + 1)
+        return ArithmeticProgression(self.modulus, start, step, self.length - i)
 
     def entry(self, i: int, j: int) -> int:
-        """Triangle entry in row i, column j (1-based), without materializing."""
+        """Triangle entry in row i, column j (1-based), without materializing:
+        O(1) while the row is the one read last, one `pow` when the row changes."""
         m = self.length
         if not 1 <= i <= m:
             raise IndexOutOfRange(f"row {i} outside 1..{m}")
         if not 1 <= j <= m - i + 1:
             raise IndexOutOfRange(f"column {j} outside 1..{m - i + 1} in row {i}")
+        last = self._last_row
+        row, start, step = last[0]
+        if row != i:  # one store, so no reader pairs two rows' start and step
+            row, start, step = last[0] = self._row(i)
+        return (start + (j - 1) * step) % self.modulus
+
+    def _row(self, i: int) -> tuple[int, int, int]:
+        """Row i as (i, start, step) mod n; row 1 is the progression itself.
+
+        Derivation doubles the step and shifts the start; after k = i - 1
+        steps the start is 2^k * a + k * 2^(k-1) * d = 2^(k-1) * (2a + k d) and
+        the step 2^k * d, both reduced mod n with one power 2^(k-1) mod n.
+        """
         n, a, d = self.modulus, self.start, self.step
         if i == 1:
-            return (a + (j - 1) * d) % n
-        # 2^(i-1) a + 2^(i-2) (2j + i - 3) d, with the power of two taken out
-        return pow(2, i - 2, n) * (2 * a + (2 * j + i - 3) * d) % n
+            return i, a, d
+        p = pow(2, i - 2, n)
+        return i, p * (2 * a + (i - 1) * d) % n, 2 * p * d % n
 
     def multiplicities(self) -> MultiplicityVector:
         """Residue counts over the whole triangle, without its entries: a few

@@ -1,6 +1,7 @@
 """Tests for progressions, their closed forms, and balanced constructions."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -104,12 +105,23 @@ def test_derived_matches_sequence_derivation(ap):
 
 
 @settings(max_examples=100)
-@given(progressions(max_modulus=50, max_length=25))
-def test_entry_matches_materialized_triangle(ap):
+@given(progressions(max_modulus=50, max_length=25), st.data())
+def test_entry_matches_materialized_triangle(ap, data):
     t = triangle(ap.to_sequence())
-    for i in range(1, ap.length + 1):
-        for j in range(1, ap.length - i + 2):
-            assert ap.entry(i, j) == t.entry(i, j)
+    cells = [(i, j) for i in range(1, ap.length + 1) for j in range(1, ap.length - i + 2)]
+    # One instance reads every cell in a drawn order, which leaves and revisits
+    # rows, then in row order, so reads both replace and reuse the cached row.
+    for i, j in data.draw(st.permutations(cells)) + cells:
+        assert ap.entry(i, j) == t.entry(i, j)
+
+
+def test_reads_leave_the_value_unchanged():
+    ap, fresh = ArithmeticProgression(31, 7, 12, 40), ArithmeticProgression(31, 7, 12, 40)
+    for i, j in [(3, 5), (40, 1), (17, 2), (3, 1)]:
+        ap.entry(i, j)
+    assert ap == fresh and hash(ap) == hash(fresh)
+    assert repr(ap) == repr(fresh)
+    assert pickle.dumps(ap) == pickle.dumps(fresh)
 
 
 def test_primitive_known_values():

@@ -75,3 +75,11 @@ def test_bench_pairs_summary():
     assert wall["change_wins"] == 3
     # higher is better: the change's extra state wins every pair
     assert summary["long-rows"]["states"]["change_wins"] == 5
+    # 0.16 / 0.21 - 1; 3 wins of 5 pairs miss nine tenths, though the medians
+    # differ by 0.05 against the parent's q3 - q1 of 0.02
+    assert wall["median_change"] == pytest.approx(-0.2381, abs=1e-5)
+    assert wall["gain"] is False
+    # 5 wins of 5, but the medians differ by 1 against the parent's q3 - q1 of 20
+    states = summary["long-rows"]["states"]
+    assert states["median_change"] == pytest.approx(1 / 30, abs=1e-5)
+    assert states["gain"] is False

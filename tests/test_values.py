@@ -196,6 +196,12 @@ def test_sequence_converts_terms_to_a_tuple():
     (lambda: ArithmeticProgression(3, 0, 0, 0), "length must be positive, got 0"),
     (lambda: ArithmeticProgression(3, 3, 0, 1), "3 is not a residue mod 3"),
     (lambda: ArithmeticProgression(3, 0, -1, 1), "-1 is not a residue mod 3"),
+    (lambda: AdmissibleClasses(0, ()), "period must be positive, got 0"),
+    (lambda: AdmissibleClasses(6, (5, 0)), "residues must be strictly increasing within 0..5"),
+    (lambda: AdmissibleClasses(6, (0, 0, 9)),
+     "residues must be strictly increasing within 0..5"),
+    (lambda: AdmissibleClasses(6, (0, 6)), "residues must be strictly increasing within 0..5"),
+    (lambda: AdmissibleClasses(6, (-1, 5)), "residues must be strictly increasing within 0..5"),
     (lambda: SearchBudget(max_states=0), "max_states must be positive, got 0"),
     (lambda: SearchBudget(workers=0), "workers must be positive, got 0"),
 ])
