@@ -4,11 +4,10 @@ A subclass lists its fields in `__slots__`, in constructor order; its
 `__init__` checks them and sets them with `_set` (`object.__setattr__`).  A
 class whose slots hold something else, such as a cache, names its fields in
 `__match_args__` instead, and reads any field that is no slot through a
-property.  The base gives
-what a frozen, slotted dataclass would, without importing dataclasses:
-equality and hashing over the fields, the same repr, read-only fields, pickle
-and copy through the constructor, `__match_args__` and `__replace__` (for
-`copy.replace`).
+property.  The base gives what a frozen, slotted dataclass would, without
+importing dataclasses: equality and hashing over the fields, the same repr,
+read-only fields, pickle and copy through the constructor, `__match_args__`
+and `__replace__` (for `copy.replace`).
 """
 
 from operator import attrgetter
