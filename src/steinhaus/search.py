@@ -10,6 +10,16 @@ diagonal is one int, a bit per entry: addition mod 2 is XOR and a count is a
 popcount, so a child's diagonal and its number of ones take a few word-wide
 shifts instead of a loop over the entries (see _scan_block).
 
+For n > 2 the walk also keeps the sum of the entries, which a balanced
+triangle fixes: each residue r appears target = m(m+1)/(2n) times, so the
+entries sum to total = target n(n-1)/2 mod n.  That sum is w_1 x_1 + ... + w_m x_m
+with w_j = C(m+1, j) - 1.  Proof: the top row holds each x_j once and the
+rows below are the triangle of x_1 + x_2, ..., x_(m-1) + x_m, so
+w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), which is Pascal's rule for C(m+1, j) - 1.
+As w_m = m, the last term x of a length m - 1 prefix must solve
+m x = total - (its weighted sum) mod n: one x when gcd(m, n) = 1, and often
+none at all otherwise, which the walk sees one level up.
+
 The candidate space splits by fixed prefixes into blocks, one sequence per
 orbit of the units of Z/nZ: multiplying every term by a unit u multiplies
 every entry of the triangle by u, which permutes the residue counts, so
@@ -84,6 +94,23 @@ def _pool_size(workers: int, blocks: int) -> int:
     return min(workers, os.cpu_count() or 1, blocks)
 
 
+def _sum_weights(n: int, m: int) -> list[int]:
+    """w_1..w_m with w_j = C(m+1, j) - 1 mod n, as a list indexed from 0.
+
+    The sum of all the entries of the triangle of x_1..x_m is
+    w_1 x_1 + ... + w_m x_m mod n.  For n = 1 every weight is 0, and no
+    binomial is taken.
+    """
+    if n == 1:
+        return [0] * m
+    weights = []
+    binomial = 1
+    for j in range(1, m + 1):
+        binomial = binomial * (m + 2 - j) // j
+        weights.append((binomial - 1) % n)
+    return weights
+
+
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
     """Find the balanced length-m sequences that start with `prefix`.
 
@@ -105,10 +132,22 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     child with the prefix's term is kept.
     The children of a length m - 1 prefix are full sequences whose counts
     all stay within target and sum to n * target, so they are exactly the
-    balanced completions.  A length that is not admissible has an empty
-    block.  The nodes wait on an explicit stack, so the length is not bounded
-    by the recursion limit.  With first_hit the walk stops at the first
-    length m - 1 prefix that has balanced completions, and returns those.
+    balanced completions.
+    For n != 2 a node also has the weighted sum P = w_1 x_1 + ... + w_k x_k
+    mod n of its prefix, w_j = C(m+1, j) - 1 (see _sum_weights), kept per
+    depth in `sums` as `terms` keeps the terms.  This is the sum rule: a
+    balanced triangle holds each residue target times, so its entries sum
+    to total = target n(n-1)/2 mod n, and they sum to P + m x_m for a
+    length m - 1 prefix, because the top row holds each term once and the
+    rows below are the triangle of the adjacent sums, so
+    w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), Pascal's rule for C(m+1, j) - 1.
+    So a length m - 1 prefix tries only the x, decreasing, with
+    m x = total - P (mod n), and a length m - 2 prefix drops, before walking
+    its diagonal, each child that leaves no such x.  A length that is not
+    admissible has an empty block.  The nodes wait on an explicit stack, so
+    the length is not bounded by the recursion limit.  With first_hit the
+    walk stops at the first length m - 1 prefix that has balanced
+    completions, and returns those.
     """
     target = _target(n, m)
     if target is None:
@@ -121,6 +160,18 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     # still holds.
     binary = n == 2
     pending = [(0, 0, 0, 0)] if binary else [(0, 0, [], [0] * n)]
+    if not binary:
+        # sums[k]: the weighted sum of terms[:k]; options[k][p]: the terms,
+        # decreasing, that a length k prefix of weighted sum p may take next
+        weights = _sum_weights(n, m)
+        sums = [0] * m
+        total = target * (n * (n - 1) // 2) % n
+        every = range(n - 1, -1, -1)
+        last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
+        options = [[every] * n] * (m - 1) + [last_terms]
+        if m > 1:
+            w = weights[m - 2]
+            options[m - 2] = [[x for x in every if last_terms[(p + w * x) % n]] for p in range(n)]
     while pending:
         depth, last, diagonal, tally = pending.pop()
         if depth:
@@ -142,7 +193,9 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
             if low <= tally0 <= target:
                 children.append((depth + 1, 0, zero, tally0))
         else:
-            for x in range(n - 1, -1, -1):
+            if depth:
+                sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
+            for x in options[depth][sums[depth]]:
                 if tally[x] == target:
                     continue
                 child = tally.copy()
@@ -217,7 +270,9 @@ def brute_force_balanced(
     Raises BudgetExceeded before any work if n^m exceeds budget.max_states,
     or if the m(m+1)/2 entries of a triangle do, which n = 1 alone can reach.
     The search is depth first and prunes every prefix whose triangle already
-    holds more than m(m+1)/(2n) copies of some residue (see _scan_block); a
+    holds more than m(m+1)/(2n) copies of some residue, and for n > 2 by the
+    sum rule every last term but those that bring the sum of all entries to
+    the balanced triangle's, m(m+1)/(2n) n(n-1)/2 mod n (see _scan_block); a
     length that is not admissible has no balanced sequence and is answered
     at once.  One sequence per orbit of the units is walked (see _blocks):
     a count weights each hit by its orbit's size, and a listing multiplies

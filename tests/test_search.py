@@ -23,10 +23,18 @@ from steinhaus import (
     is_admissible,
     is_balanced,
     molluzzo_probe,
+    triangle,
 )
 from steinhaus.progressions import _construction
 from steinhaus.orders import totient
-from steinhaus.search import _blocks, _pool_size, _scan_block, _witness, _within_budget
+from steinhaus.search import (
+    _blocks,
+    _pool_size,
+    _scan_block,
+    _sum_weights,
+    _witness,
+    _within_budget,
+)
 
 
 def seqs(n, rows):
@@ -306,6 +314,12 @@ def search_blocks(draw):
 @example((3, 8, (0,) * 5))  # 15 zeros against a target of 12
 @example((2, 3, (1, 1, 1)))  # the whole sequence as prefix, balanced
 @example((4, 7, (3, 1, 2, 0, 3, 2, 1)))  # the whole sequence, unbalanced
+# gcd(m, n) > 1: a length m - 1 prefix takes no last term or several
+@example((4, 8, (0, 2, 0, 2)))  # 8x = 0 mod 4: all four or none; (0, 2, 0, 2, 1, 3, 0) has two hits
+@example((6, 8, (0, 0, 2)))  # 8x = v mod 6: two last terms or none
+# gcd(m, n) = 1: every length m - 1 prefix takes exactly one last term
+@example((3, 11, (0, 0, 0, 0)))
+@example((5, 9, (0, 0, 1, 0, 1)))
 def test_scan_block_matches_odometer(case):
     n, m, prefix = case
     for count_only in (False, True):
@@ -321,6 +335,10 @@ BALANCED_35 = (1,) + (0,) * 16 + (1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1
 @example((2, 35, BALANCED_35[:24]))  # diagonals of up to 35 bits, past one 30-bit digit
 @example((2, 35, BALANCED_35))
 @example((2, 12, (1, 1)))  # hits in more than one length m - 1 prefix
+@example((4, 8, (0, 2, 0)))  # the first hit's prefix (0, 2, 0, 2, 1, 3, 0) has two hits
+@example((6, 8, (0, 0, 2, 5)))
+@example((3, 11, (0, 0, 0, 0)))
+@example((5, 9, (0, 0, 1, 0, 2)))
 def test_scan_block_first_hit_matches_odometer(case):
     n, m, prefix = case
     hits, count = odometer_block(n, m, prefix, False)
@@ -330,6 +348,31 @@ def test_scan_block_first_hit_matches_odometer(case):
     first = [hit for hit in hits if hit[: m - 1] == hits[0][: m - 1]]
     assert _scan_block(n, m, prefix, False, first_hit=True) == (first, len(first))
     assert _scan_block(n, m, prefix, True, first_hit=True) == ([], len(first))
+
+
+def triangle_sum(n, terms):
+    return sum(triangle(Sequence(n, terms)).entries()) % n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.one_of(st.integers(1, 64), st.just(2**61 - 1)), st.integers(1, 60))
+def test_sum_weights_give_the_triangle_sum(data, n, m):
+    terms = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    weights = _sum_weights(n, m)
+    assert len(weights) == m
+    assert sum(w * x for w, x in zip(weights, terms)) % n == triangle_sum(n, terms)
+
+
+def test_sum_weights_follow_the_pascal_recurrence():
+    # c_j(m) = C(m+1, j) - 1, exact for a modulus past every coefficient, with
+    # c_0(m) = c_{m+1}(m) = 0 and c_j(m) = c_j(m-1) + c_{j-1}(m-1) + 1
+    big = 2**200
+    previous = [0, 0]
+    for m in range(1, 61):
+        current = [0] + _sum_weights(big, m) + [0]
+        assert current[1:-1] == [math.comb(m + 1, j) - 1 for j in range(1, m + 1)]
+        assert current[1:-1] == [previous[j] + previous[j - 1] + 1 for j in range(1, m + 1)]
+        previous = current
 
 
 def test_binary_counts_past_the_acceptance_table():
