@@ -350,17 +350,14 @@ def test_scan_block_first_hit_matches_odometer(case):
     assert _scan_block(n, m, prefix, True, first_hit=True) == ([], len(first))
 
 
-def triangle_sum(n, terms):
-    return sum(triangle(Sequence(n, terms)).entries()) % n
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.one_of(st.integers(1, 64), st.just(2**61 - 1)), st.integers(1, 60))
 def test_sum_weights_give_the_triangle_sum(data, n, m):
     terms = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     weights = _sum_weights(n, m)
     assert len(weights) == m
-    assert sum(w * x for w, x in zip(weights, terms)) % n == triangle_sum(n, terms)
+    entries = triangle(Sequence(n, terms)).entries()
+    assert sum(w * x for w, x in zip(weights, terms)) % n == sum(entries) % n
 
 
 def test_sum_weights_follow_the_pascal_recurrence():
