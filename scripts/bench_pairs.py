@@ -8,7 +8,10 @@ PARENT and CHANGE are directories holding a checkout of each commit.  Pair s
 first for an odd seed and the change first for an even one, with
 PYTHONDONTWRITEBYTECODE=1 and every __pycache__ under the checkout removed
 before each run, so that each run compiles the package from source as a
-fresh checkout would.  The last line of each run's stdout is kept.
+fresh checkout would.  The last line of each run's stdout is kept, and so
+is each job's median time in ms over the run's passes, read from the run's
+bench/out/<workload>-seed<s>-trace0.json and scaled to the reference speed
+by bench/run.py's own `scaled`.
 
 The runs go to BENCH_<pr>.json in the current directory.  If the file is
 there already, its runs are kept: the new pairs take the next seeds of the
@@ -19,9 +22,13 @@ workload and end-to-end metric, the quartiles of each side, the number of
 pairs the change won (ties win for neither side), the change's median over the
 parent's minus 1, and whether that is a gain: the change won at least nine
 tenths of the pairs and its median is better by more than the parent's q3 - q1.
+Its job_summary gives, per workload and job, each side's median of those
+per-run job times and the change's over the parent's minus 1, so a wall_s
+claim shows which jobs moved.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -77,12 +84,56 @@ def summarize(runs, better: dict) -> dict:
     return summary
 
 
+def job_medians(details: dict, scaled) -> dict:
+    """Each job's median ms over the passes of one run's details file, its
+    samples scaled by bench/run.py's `scaled`; a job listed twice pools them."""
+    samples = {}
+    for p in details["passes"]:
+        for name, (seconds, _) in zip(details["jobs"], scaled(p)):
+            samples.setdefault(name, []).append(seconds)
+    return {name: round(statistics.median(s) * 1e3, 4) for name, s in samples.items()}
+
+
+def summarize_jobs(runs) -> dict:
+    """Per workload and job: each side's median of the runs' job medians and
+    the change's over the parent's minus 1, over the pairs that have both
+    runs and the job (a workload's job list can change with its seed)."""
+    sides = {}
+    for run in runs:
+        if "job_ms" in run:
+            sides.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
+    summary = {}
+    for workload, seeds in sides.items():
+        pairs = [(s["parent"]["job_ms"], s["change"]["job_ms"])
+                 for _, s in sorted(seeds.items()) if len(s) == 2]
+        if len(pairs) < 2:
+            continue
+        summary[workload] = {}
+        for job in dict.fromkeys(job for p, _ in pairs for job in p):
+            times = [(p[job], c[job]) for p, c in pairs if job in p and job in c]
+            parent = statistics.median(p for p, _ in times)
+            change = statistics.median(c for _, c in times)
+            summary[workload][job] = {"pairs": len(times), "parent": round(parent, 4),
+                                      "change": round(change, 4),
+                                      "median_change": round(change / parent - 1, 5)}
+    return summary
+
+
+def load_scaled(checkout: Path):
+    """bench/run.py's `scaled`, loaded from the checkout without running it."""
+    spec = importlib.util.spec_from_file_location("bench_run", checkout / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.scaled
+
+
 def sha(checkout: Path) -> str:
     return subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, scaled) -> tuple:
+    """One run in `checkout`: its result line and its job medians."""
     for cache in list(checkout.rglob("__pycache__")):
         shutil.rmtree(cache)
     proc = subprocess.run(
@@ -91,7 +142,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    details = checkout / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return (json.loads(proc.stdout.strip().splitlines()[-1]),
+            job_medians(json.loads(details.read_text()), scaled))
 
 
 def main() -> None:
@@ -115,15 +168,19 @@ def main() -> None:
     else:
         bench = {**header, "python": platform.python_version(), "cpu_count": os.cpu_count(),
                  "command": COMMAND, "order": ORDER, "summary": {}, "runs": []}
+    scaled = load_scaled(checkouts["change"])
     first = 1 + max((r["seed"] for r in bench["runs"] if r["workload"] == args.workload), default=0)
     for seed in range(first, first + args.pairs):
         sides = ("parent", "change") if seed % 2 else ("change", "parent")
         for order, side in enumerate(sides, 1):
-            result = run_bench(checkouts[side], args.workload, seed, spec["run_seconds"])
+            result, job_ms = run_bench(checkouts[side], args.workload, seed,
+                                       spec["run_seconds"], scaled)
             bench["runs"].append({"workload": args.workload, "seed": seed, "side": side,
-                                  "order": order, "trace": 0, "result": result})
+                                  "order": order, "trace": 0, "result": result,
+                                  "job_ms": job_ms})
             print(args.workload, seed, side, json.dumps(result["metrics"]), flush=True)
         bench["summary"] = summarize(bench["runs"], better)
+        bench["job_summary"] = summarize_jobs(bench["runs"])
         out.write_text(json.dumps(bench, indent=1) + "\n")
 
 

@@ -86,8 +86,13 @@ def _cmd_triangle(args):
 
 
 def _cmd_derive(args):
-    from .sequences import derive, derive_iterated
-    seq = _sequence(args)
+    # Rows 1..i + 1 are built, so the cost is (i + 1)*m entries, charged once
+    # i is known to be in range; out of range, the library refuses it at once.
+    from .sequences import Sequence, derive, derive_iterated
+    seq = Sequence.from_text(args.n, args.seq)
+    m = len(seq)
+    if 0 <= args.i < m:
+        _check_budget(args, (args.i + 1) * m, f"({args.i} + 1)*{m} entries")
     out = derive(seq) if args.i == 1 else derive_iterated(seq, args.i)
     return {"n": out.modulus, "m": len(out), "seq": list(out.terms)}, out.to_text()
 

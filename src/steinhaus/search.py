@@ -10,15 +10,24 @@ diagonal is one int, a bit per entry: addition mod 2 is XOR and a count is a
 popcount, so a child's diagonal and its number of ones take a few word-wide
 shifts instead of a loop over the entries (see _scan_block).
 
-For n > 2 the walk also keeps the sum of the entries, which a balanced
-triangle fixes: each residue r appears target = m(m+1)/(2n) times, so the
-entries sum to total = target n(n-1)/2 mod n.  That sum is w_1 x_1 + ... + w_m x_m
+The walk also keeps the sum of the entries, which a balanced triangle
+fixes: each residue r appears target = m(m+1)/(2n) times, so the entries
+sum to total = target n(n-1)/2 mod n.  That sum is w_1 x_1 + ... + w_m x_m
 with w_j = C(m+1, j) - 1.  Proof: the top row holds each x_j once and the
 rows below are the triangle of x_1 + x_2, ..., x_(m-1) + x_m, so
 w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), which is Pascal's rule for C(m+1, j) - 1.
 As w_m = m, the last term x of a length m - 1 prefix must solve
 m x = total - (its weighted sum) mod n: one x when gcd(m, n) = 1, and often
 none at all otherwise, which the walk sees one level up.
+
+For n = 2 the walk also skips one sequence of each mirror pair.  Mod 2 the
+local rule c = a + b is symmetric in a, b and c, so reflecting the triangle
+of X through its top-left corner gives the triangle of its left edge
+L(X) = (T(1,1), T(2,1), ..., T(m,1)), with the same entries, and L(L(X)) = X.
+So X is balanced exactly when L(X) is, and the walk keeps only the X with
+X <= L(X) lexicographically, counting each twice when X < L(X) and listing
+L(X) beside it (Brunat and Maureso, Symmetries in Steinhaus triangles and in
+generalized Pascal triangles, Integers, 2011).
 
 The candidate space splits by fixed prefixes into blocks, one sequence per
 orbit of the units of Z/nZ: multiplying every term by a unit u multiplies
@@ -115,9 +124,9 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     """Find the balanced length-m sequences that start with `prefix`.
 
     Depth-first search from the empty sequence, terms tried in increasing
-    order, so hits come out in lexicographic order.  A node is (depth, last
-    term, right-edge diagonal, tally) for a prefix of that length, and one
-    child rule extends it: appending x to a prefix whose diagonal is
+    order, so the hits walked come out in lexicographic order.  A node is
+    (depth, last term, right-edge diagonal, tally) for a prefix of that
+    length, and one child rule extends it: appending x to a prefix whose diagonal is
     d_1..d_k adds the diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its
     triangle, and a child whose diagonal pushes a residue count past
     target = m(m+1)/(2n) is pruned with its whole subtree.  For n != 2 the
@@ -133,9 +142,9 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     The children of a length m - 1 prefix are full sequences whose counts
     all stay within target and sum to n * target, so they are exactly the
     balanced completions.
-    For n != 2 a node also has the weighted sum P = w_1 x_1 + ... + w_k x_k
-    mod n of its prefix, w_j = C(m+1, j) - 1 (see _sum_weights), kept per
-    depth in `sums` as `terms` keeps the terms.  This is the sum rule: a
+    A node also has the weighted sum P = w_1 x_1 + ... + w_k x_k mod n of
+    its prefix, w_j = C(m+1, j) - 1 (see _sum_weights), kept per depth in
+    `sums` as `terms` keeps the terms.  This is the sum rule: a
     balanced triangle holds each residue target times, so its entries sum
     to total = target n(n-1)/2 mod n, and they sum to P + m x_m for a
     length m - 1 prefix, because the top row holds each term once and the
@@ -143,11 +152,23 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), Pascal's rule for C(m+1, j) - 1.
     So a length m - 1 prefix tries only the x, decreasing, with
     m x = total - P (mod n), and a length m - 2 prefix drops, before walking
-    its diagonal, each child that leaves no such x.  A length that is not
-    admissible has an empty block.  The nodes wait on an explicit stack, so
-    the length is not bounded by the recursion limit.  With first_hit the
-    walk stops at the first length m - 1 prefix that has balanced
-    completions, and returns those.
+    its diagonal, each child that leaves no such x.  For n = 2 and odd m
+    that x is the one the tally leaves anyway; for even m, m x = 0, so a
+    length m - 2 prefix drops each child whose parity P is not total.
+    For n = 2 the walk also keeps the left edge of the prefix's triangle,
+    per depth in `edge`, and in `tie` whether the prefix equals it.  Its
+    last term is the bottom entry of the triangle, which ends the diagonal,
+    so child x's is x XOR flip, flip the parity of the parent's diagonal
+    (bit `depth` of `zero`).  While the two agree, a node with flip = 1
+    drops x = 1, whose sequences all lie above their mirrors, so the walk
+    keeps the X with X <= L(X) (see the module docstring).  A hit counts 2
+    when X < L(X) and 1 when X = L(X), and a listing adds L(X) right after
+    each X < L(X): a block returns the hits it walked and their mirrors,
+    which may start with another prefix.  A length that is not admissible
+    has an empty block.  The nodes wait on an explicit stack, so the length
+    is not bounded by the recursion limit.  With first_hit the walk stops at
+    the first length m - 1 prefix that has balanced completions, and returns
+    those (for n = 2, those walked and their mirrors).
     """
     target = _target(n, m)
     if target is None:
@@ -160,12 +181,26 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     # still holds.
     binary = n == 2
     pending = [(0, 0, 0, 0)] if binary else [(0, 0, [], [0] * n)]
-    if not binary:
-        # sums[k]: the weighted sum of terms[:k]; options[k][p]: the terms,
-        # decreasing, that a length k prefix of weighted sum p may take next
-        weights = _sum_weights(n, m)
-        sums = [0] * m
-        total = target * (n * (n - 1) // 2) % n
+    # sums[k]: the weighted sum of terms[:k]
+    weights = _sum_weights(n, m)
+    sums = [0] * m
+    total = target * (n * (n - 1) // 2) % n
+    # whether the hits of the last node popped are each counted with a mirror
+    mirror = False
+    if binary:
+        # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree;
+        # keep[k][p]: the terms, bit x for x, that a length k prefix of weighted
+        # parity p may take next.  For even m, w_m = 0, so a length m - 1 prefix
+        # must have parity total itself.
+        edge = [0] * m
+        tie = [True] * m
+        keep = [[3, 3]] * m
+        if m % 2 == 0:
+            w = weights[m - 2]
+            keep[m - 2] = [sum(1 << x for x in (0, 1) if p ^ (w & x) == total) for p in (0, 1)]
+    else:
+        # options[k][p]: the terms, decreasing, that a length k prefix of
+        # weighted sum p may take next
         every = range(n - 1, -1, -1)
         last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
         options = [[every] * n] * (m - 1) + [last_terms]
@@ -178,19 +213,31 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
             terms[depth - 1] = last
         children = []
         if binary:
+            if depth:
+                # the bottom entry of a prefix's triangle ends its diagonal and
+                # its left edge
+                edge[depth - 1] = diagonal >> (depth - 1)
+                tie[depth] = tie[depth - 1] and last == edge[depth - 1]
+                sums[depth] = sums[depth - 1] ^ (weights[depth - 1] & last)
             shift = 1
             while shift < depth:
                 diagonal ^= diagonal << shift
                 shift <<= 1
             full = (2 << depth) - 1
             zero = (diagonal << 1) & full
+            # child x's left edge ends in x ^ flip
+            flip = zero >> depth
+            tied = tie[depth]
+            mirror = flip or not tied
+            allowed = keep[depth][sums[depth]]
             tally0 = tally + zero.bit_count()
             tally1 = 2 * tally + depth + 1 - tally0
-            # a child keeps at most target ones and at most target zeros
+            # a child keeps at most target ones and at most target zeros, and
+            # a tied prefix with flip = 1 drops x = 1, whose mirrors are walked
             low = (depth + 1) * (depth + 2) // 2 - target
-            if low <= tally1 <= target:
+            if low <= tally1 <= target and allowed & 2 and not (tied and flip):
                 children.append((depth + 1, 1, zero ^ full, tally1))
-            if low <= tally0 <= target:
+            if low <= tally0 <= target and allowed & 1:
                 children.append((depth + 1, 0, zero, tally0))
         else:
             if depth:
@@ -216,11 +263,14 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
         if depth < m - 1:
             pending.extend(children)
             continue
-        count += len(children)
+        count += len(children) * (1 + mirror)
         if not count_only:
             for child in reversed(children):
                 terms[-1] = child[1]
                 found.append(tuple(terms))
+                if mirror:
+                    edge[-1] = child[1] ^ flip
+                    found.append(tuple(edge))
         if first_hit and count:
             break
     return found, count
@@ -270,9 +320,10 @@ def brute_force_balanced(
     Raises BudgetExceeded before any work if n^m exceeds budget.max_states,
     or if the m(m+1)/2 entries of a triangle do, which n = 1 alone can reach.
     The search is depth first and prunes every prefix whose triangle already
-    holds more than m(m+1)/(2n) copies of some residue, and for n > 2 by the
-    sum rule every last term but those that bring the sum of all entries to
-    the balanced triangle's, m(m+1)/(2n) n(n-1)/2 mod n (see _scan_block); a
+    holds more than m(m+1)/(2n) copies of some residue, and by the sum rule
+    every last term but those that bring the sum of all entries to the
+    balanced triangle's, m(m+1)/(2n) n(n-1)/2 mod n; for n = 2 it walks one
+    sequence of each mirror pair and adds the other (see _scan_block).  A
     length that is not admissible has no balanced sequence and is answered
     at once.  One sequence per orbit of the units is walked (see _blocks):
     a count weights each hit by its orbit's size, and a listing multiplies

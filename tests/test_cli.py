@@ -236,7 +236,7 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     assert "BudgetExceeded" in err
 
 
-@pytest.mark.parametrize("command", ["triangle", "derive", "balanced"])
+@pytest.mark.parametrize("command", ["triangle", "balanced"])
 def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     # a 5-term sequence has a 15-entry triangle
     monkeypatch.setenv("STEINHAUS_MAX_STATES", "10")
@@ -247,6 +247,33 @@ def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     monkeypatch.setenv("STEINHAUS_MAX_STATES", "15")
     code, _, _ = invoke(capsys, command, "--n", "3", "--seq", "1,2,0,1,2")
     assert code == 0
+
+
+@pytest.mark.parametrize("i", [1, 3])
+def test_derive_is_charged_the_rows_it_builds(capsys, monkeypatch, i):
+    # derive --i i builds rows 1..i + 1 of a 5-term sequence: (i + 1)*5
+    # entries, fewer or more than its triangle's 15
+    argv = ("derive", "--n", "3", "--seq", "1,2,0,1,2", "--i", str(i))
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str((i + 1) * 5 - 1))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "BudgetExceeded" in err
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", str((i + 1) * 5))
+    code, _, _ = invoke(capsys, *argv)
+    assert code == 0
+
+
+def test_derive_checks_its_index_before_the_state_cap(capsys, monkeypatch):
+    # (9 + 1)*3 entries would pass the cap, but the index is out of range first
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", "1")
+    code, out, err = invoke(capsys, "derive", "--n", "7", "--seq", "1,2,3", "--i", "9")
+    assert (code, out) == (2, "")
+    assert "IndexOutOfRange" in err
+    # 15,000 terms have a triangle of 112,507,500 entries, but i = 1 builds 30,000
+    monkeypatch.delenv("STEINHAUS_MAX_STATES")
+    code, out, _ = invoke(capsys, "derive", "--n", "7", "--seq", ",".join(["3"] * 15000))
+    assert (code, out) == (0, ",".join(["6"] * 14999) + "\n")
 
 
 def test_balanced_checks_its_residue_counts_against_the_state_cap(capsys, monkeypatch):

@@ -56,13 +56,19 @@ def _run(workload, seed, side, **metrics):
 
 
 def test_bench_pairs_summary():
-    summarize = _load_bench_pairs().summarize
+    bench_pairs = _load_bench_pairs()
+    summarize = bench_pairs.summarize
     parent_wall = [0.20, 0.22, 0.21, 0.25, 0.19]
     change_wall = [0.15, 0.16, 0.21, 0.14, 0.20]  # wins, wins, tie, wins, loses
     runs = []
     for seed, (p, c) in enumerate(zip(parent_wall, change_wall), 1):
         runs.append(_run("long-rows", seed, "parent", wall_s=p, states=10 * seed))
         runs.append(_run("long-rows", seed, "change", wall_s=c, states=10 * seed + 1))
+        runs[-2]["job_ms"] = {"a": 1000 * p, "b": 5.0}
+        runs[-1]["job_ms"] = {"a": 1000 * c, "b": 4.0 + seed}
+        if seed > 3:
+            # a job list can change with the seed
+            runs[-2]["job_ms"]["c"] = runs[-1]["job_ms"]["c"] = 2.0 * seed
     runs.append(_run("long-rows", 6, "parent", wall_s=9.0, states=0))  # no partner: ignored
     runs.append(_run("cli", 1, "change", wall_s=1.0, states=0))  # one side only: no summary
     summary = summarize(runs, {"wall_s": "lower", "states": "higher"})
@@ -83,3 +89,30 @@ def test_bench_pairs_summary():
     states = summary["long-rows"]["states"]
     assert states["median_change"] == pytest.approx(1 / 30, abs=1e-5)
     assert states["gain"] is False
+    # per job, each side's median over the pairs; runs without job times are
+    # left out, as the two unpaired runs are
+    jobs = bench_pairs.summarize_jobs(runs)
+    assert list(jobs) == ["long-rows"]
+    assert jobs["long-rows"]["a"] == {"pairs": 5, "parent": 210.0, "change": 160.0,
+                                      "median_change": pytest.approx(-0.2381, abs=1e-5)}
+    assert jobs["long-rows"]["b"] == {"pairs": 5, "parent": 5.0, "change": 7.0,
+                                      "median_change": 0.4}
+    assert jobs["long-rows"]["c"] == {"pairs": 2, "parent": 9.0, "change": 9.0,
+                                      "median_change": 0.0}
+
+
+def test_bench_pairs_job_medians_scale_as_the_bench_does():
+    bench_pairs = _load_bench_pairs()
+    scaled = bench_pairs.load_scaled(SCRIPTS.parent)
+    # (seconds, cpu seconds, calibration) per job and pass; a calibration of
+    # twice the reference 2 ms halves a time, and job "a", listed twice, pools
+    # its four samples
+    details = {
+        "jobs": ["a", "b", "a"],
+        "passes": [
+            [(0.010, 0.0, 0.002), (0.100, 0.0, 0.004), (0.030, 0.0, 0.002)],
+            [(0.020, 0.0, 0.004), (0.300, 0.0, 0.002), (0.040, 0.0, 0.002)],
+        ],
+    }
+    # a: 10, 30, 10 and 40 ms, median 20; b: 50 and 300 ms, median 175
+    assert bench_pairs.job_medians(details, scaled) == {"a": 20.0, "b": 175.0}

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from search_oracle import odometer_block, odometer_report
+from search_oracle import left_edge, mirrored_hits, odometer_block, odometer_report
 
 from steinhaus import (
     ArithmeticProgression,
@@ -18,11 +18,13 @@ from steinhaus import (
     Sequence,
     UnsupportedLength,
     alpha,
+    balanced_terms,
     brute_force_balanced,
     classify_even_progressions,
     is_admissible,
     is_balanced,
     molluzzo_probe,
+    multiplicities,
     triangle,
 )
 from steinhaus.progressions import _construction
@@ -320,8 +322,16 @@ def search_blocks(draw):
 # gcd(m, n) = 1: every length m - 1 prefix takes exactly one last term
 @example((3, 11, (0, 0, 0, 0)))
 @example((5, 9, (0, 0, 1, 0, 1)))
+# mod 2: (0, 0, 0, 1, 0, 0, 1, x) is its own mirror for both x
+@example((2, 8, (0, 0, 0, 1)))
 def test_scan_block_matches_odometer(case):
     n, m, prefix = case
+    if n == 2:
+        # one sequence of each mirror pair is walked, and the mirrors are added
+        listed = mirrored_hits(odometer_block(n, m, prefix, False)[0])
+        assert _scan_block(n, m, prefix, False) == (listed, len(listed))
+        assert _scan_block(n, m, prefix, True) == ([], len(listed))
+        return
     for count_only in (False, True):
         assert _scan_block(n, m, prefix, count_only) == odometer_block(n, m, prefix, count_only)
 
@@ -339,13 +349,22 @@ BALANCED_35 = (1,) + (0,) * 16 + (1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1
 @example((6, 8, (0, 0, 2, 5)))
 @example((3, 11, (0, 0, 0, 0)))
 @example((5, 9, (0, 0, 1, 0, 2)))
+@example((2, 8, (0, 0, 0, 1)))  # the first hit's prefix has two hits, each its own mirror
 def test_scan_block_first_hit_matches_odometer(case):
     n, m, prefix = case
     hits, count = odometer_block(n, m, prefix, False)
+    every = hits
+    if n == 2:
+        hits = mirrored_hits(every)
+        count = len(hits)
     assert _scan_block(n, m, prefix, False) == (hits, count)
     assert _scan_block(n, m, prefix, True) == ([], count)
     # the first hit's length m - 1 prefix, with all its balanced completions
-    first = [hit for hit in hits if hit[: m - 1] == hits[0][: m - 1]]
+    # (mod 2 those walked, each followed by its mirror)
+    head = hits[0][: m - 1] if hits else None
+    first = [hit for hit in every if hit[: m - 1] == head]
+    if n == 2:
+        first = mirrored_hits(first)
     assert _scan_block(n, m, prefix, False, first_hit=True) == (first, len(first))
     assert _scan_block(n, m, prefix, True, first_hit=True) == ([], len(first))
 
@@ -378,6 +397,40 @@ def test_binary_counts_past_the_acceptance_table():
     # that n = 2 runs, and the list rule of every other n, run on n = 2
     assert brute_force_balanced(2, 19, count_only=True).count == 32757
     assert brute_force_balanced(2, 20, count_only=True).count == 59984
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_binary_search_matches_odometer(m):
+    # one sequence of each mirror pair is walked; at 2 workers the pool's
+    # blocks are finer, and a mirror can lie in another block than its pair
+    listing = odometer_report(2, m)
+    for workers in (1, 2):
+        budget = SearchBudget(workers=workers)
+        assert brute_force_balanced(2, m, budget) == listing, workers
+        assert brute_force_balanced(2, m, budget, count_only=True).count == listing.count
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 8, 11, 12, 15, 16])
+def test_binary_listing_is_closed_under_the_left_edge(m):
+    found = {s.terms for s in brute_force_balanced(2, m).found}
+    assert found
+    assert {left_edge(hit, 2) for hit in found} == found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_left_edge_is_an_involution_keeping_binary_counts(terms):
+    edge = left_edge(terms, 2)
+    assert left_edge(edge, 2) == tuple(terms)
+    assert multiplicities(Sequence(2, edge)) == multiplicities(Sequence(2, terms))
+
+
+def test_left_edge_is_no_symmetry_mod_3():
+    # mod 3 the local rule c = a + b is not symmetric in a, b and c, so the
+    # search walks every sequence of a length for n != 2
+    found = [s.terms for s in brute_force_balanced(3, 5).found]
+    assert len(found) == 12
+    assert not all(balanced_terms(left_edge(hit, 3), 3) for hit in found)
 
 
 def test_brute_force_matches_direct_filter():
