@@ -49,6 +49,18 @@ def quartiles(values) -> dict:
     return {"q1": round(q1, 5), "median": round(median, 5), "q3": round(q3, 5)}
 
 
+def paired(runs, field: str) -> dict:
+    """Per workload, the (parent, change) values of `field` of the two runs of
+    each seed that has both, in seed order; a run without the field is left out."""
+    sides = {}
+    for run in runs:
+        if field in run:
+            sides.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
+    return {workload: [(s["parent"][field], s["change"][field])
+                       for _, s in sorted(seeds.items()) if len(s) == 2]
+            for workload, seeds in sides.items()}
+
+
 def summarize(runs, better: dict) -> dict:
     """Per workload and metric: the pairs, each side's quartiles, the change's
     wins, its median's relative change and whether it is a gain.
@@ -57,13 +69,9 @@ def summarize(runs, better: dict) -> dict:
     parent and change runs of one workload and seed.  `better` maps each
     end-to-end metric to "lower" or "higher".
     """
-    sides = {}
-    for run in runs:
-        sides.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
     summary = {}
-    for workload, seeds in sides.items():
-        pairs = [(s["parent"]["result"]["metrics"], s["change"]["result"]["metrics"])
-                 for _, s in sorted(seeds.items()) if len(s) == 2]
+    for workload, results in paired(runs, "result").items():
+        pairs = [(p["metrics"], c["metrics"]) for p, c in results]
         if len(pairs) < 2:
             continue
         summary[workload] = {}
@@ -98,14 +106,8 @@ def summarize_jobs(runs) -> dict:
     """Per workload and job: each side's median of the runs' job medians and
     the change's over the parent's minus 1, over the pairs that have both
     runs and the job (a workload's job list can change with its seed)."""
-    sides = {}
-    for run in runs:
-        if "job_ms" in run:
-            sides.setdefault(run["workload"], {}).setdefault(run["seed"], {})[run["side"]] = run
     summary = {}
-    for workload, seeds in sides.items():
-        pairs = [(s["parent"]["job_ms"], s["change"]["job_ms"])
-                 for _, s in sorted(seeds.items()) if len(s) == 2]
+    for workload, pairs in paired(runs, "job_ms").items():
         if len(pairs) < 2:
             continue
         summary[workload] = {}

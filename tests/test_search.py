@@ -350,6 +350,7 @@ BALANCED_35 = (1,) + (0,) * 16 + (1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1
 @example((3, 11, (0, 0, 0, 0)))
 @example((5, 9, (0, 0, 1, 0, 2)))
 @example((2, 8, (0, 0, 0, 1)))  # the first hit's prefix has two hits, each its own mirror
+@example((2, 12, (1, 0)))  # mod 2 (1, 1) walks no hit, and (1, 0) hits in several prefixes
 def test_scan_block_first_hit_matches_odometer(case):
     n, m, prefix = case
     hits, count = odometer_block(n, m, prefix, False)
