@@ -22,6 +22,10 @@ workload and end-to-end metric, the quartiles of each side, the number of
 pairs the change won (ties win for neither side), the change's median over the
 parent's minus 1, and whether that is a gain: the change won at least nine
 tenths of the pairs and its median is better by more than the parent's q3 - q1.
+Two more flags hold each metric's BENCHMARK.json bound, a fraction of the
+parent's median: `regression`, the change's median is worse than the
+parent's by more than the bound, and `unresolved`, the parent's q3 - q1 is
+wider than the bound, so that a move inside it cannot be told from noise.
 Its job_summary gives, per workload and job, each side's median of those
 per-run job times and the change's over the parent's minus 1, so a wall_s
 claim shows which jobs moved.
@@ -61,13 +65,14 @@ def paired(runs, field: str) -> dict:
             for workload, seeds in sides.items()}
 
 
-def summarize(runs, better: dict) -> dict:
+def summarize(runs, better: dict, bounds: dict) -> dict:
     """Per workload and metric: the pairs, each side's quartiles, the change's
-    wins, its median's relative change and whether it is a gain.
+    wins, its median's relative change and whether it is a gain, a
+    regression or unresolved.
 
     `runs` are run records (workload, seed, side, result); a pair is the
     parent and change runs of one workload and seed.  `better` maps each
-    end-to-end metric to "lower" or "higher".
+    end-to-end metric to "lower" or "higher", and `bounds` to its bound.
     """
     summary = {}
     for workload, results in paired(runs, "result").items():
@@ -81,13 +86,17 @@ def summarize(runs, better: dict) -> dict:
             change = quartiles([c[metric]["value"] for _, c in pairs])
             wins = sum(sign * (c[metric]["value"] - p[metric]["value"]) < 0 for p, c in pairs)
             gap = sign * (parent["median"] - change["median"])
+            spread = parent["q3"] - parent["q1"]
+            relative = change["median"] / parent["median"] - 1
             summary[workload][metric] = {
                 "pairs": len(pairs),
                 "parent": parent,
                 "change": change,
                 "change_wins": wins,
-                "median_change": round(change["median"] / parent["median"] - 1, 5),
-                "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
+                "median_change": round(relative, 5),
+                "gain": wins >= 0.9 * len(pairs) and gap > spread,
+                "regression": sign * relative > bounds[metric],
+                "unresolved": spread > bounds[metric] * parent["median"],
             }
     return summary
 
@@ -160,6 +169,7 @@ def main() -> None:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = Path(f"BENCH_{args.pr}.json")
     header = {**{f"{side}_sha": sha(path) for side, path in checkouts.items()},
               "run_seconds": spec["run_seconds"]}
@@ -181,7 +191,7 @@ def main() -> None:
                                   "order": order, "trace": 0, "result": result,
                                   "job_ms": job_ms})
             print(args.workload, seed, side, json.dumps(result["metrics"]), flush=True)
-        bench["summary"] = summarize(bench["runs"], better)
+        bench["summary"] = summarize(bench["runs"], better, bounds)
         bench["job_summary"] = summarize_jobs(bench["runs"])
         out.write_text(json.dumps(bench, indent=1) + "\n")
 

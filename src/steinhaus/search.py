@@ -3,31 +3,29 @@
 The search is the ground truth the constructions are checked against.  It
 walks the sequences of one length depth first, one term at a time, and keeps
 the residue counts of the prefix's triangle as it goes: appending a term adds
-one right-edge diagonal, so each node tallies that diagonal alone.  A prefix
-whose counts already pass m(m+1)/(2n) for some residue cannot be completed to
-a balanced sequence, and the subtree below it is skipped.  For n = 2 the
-diagonal is one int, a bit per entry: addition mod 2 is XOR and a count is a
-popcount, so a child's diagonal and its number of ones take a few word-wide
-shifts instead of a loop over the entries (see _scan_block).
+one right-edge diagonal, so each node tallies that diagonal alone (see
+_scan_block).  A prefix whose counts already pass target = m(m+1)/(2n) for
+some residue cannot be completed to a balanced sequence, and the subtree
+below it is skipped.  Two more rules cut the walk.
 
-The walk also keeps the sum of the entries, which a balanced triangle
-fixes: each residue r appears target = m(m+1)/(2n) times, so the entries
-sum to total = target n(n-1)/2 mod n.  That sum is w_1 x_1 + ... + w_m x_m
-with w_j = C(m+1, j) - 1.  Proof: the top row holds each x_j once and the
-rows below are the triangle of x_1 + x_2, ..., x_(m-1) + x_m, so
-w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), which is Pascal's rule for C(m+1, j) - 1.
-As w_m = m, the last term x of a length m - 1 prefix must solve
-m x = total - (its weighted sum) mod n: one x when gcd(m, n) = 1, and often
-none at all otherwise, which the walk sees one level up.
+The sum rule: a balanced triangle holds each residue target times, so its
+entries sum to total = target n(n-1)/2 mod n.  That sum is
+w_1 x_1 + ... + w_m x_m with w_j = C(m+1, j) - 1.  Proof: the top row holds
+each x_j once and the rows below are the triangle of x_1 + x_2, ...,
+x_(m-1) + x_m, so w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), which is Pascal's
+rule for C(m+1, j) - 1.  As w_m = m, the last term x of a length m - 1 prefix
+must solve m x = total - (its weighted sum) mod n: one x when gcd(m, n) = 1,
+and often none at all otherwise, so a length m - 2 prefix drops each child
+that leaves no such x.
 
-For n = 2 the walk also skips one sequence of each mirror pair.  Mod 2 the
-local rule c = a + b is symmetric in a, b and c, so reflecting the triangle
-of X through its top-left corner gives the triangle of its left edge
-L(X) = (T(1,1), T(2,1), ..., T(m,1)), with the same entries, and L(L(X)) = X.
-So X is balanced exactly when L(X) is, and the walk keeps only the X with
-X <= L(X) lexicographically, counting each twice when X < L(X) and listing
-L(X) beside it (Brunat and Maureso, Symmetries in Steinhaus triangles and in
-generalized Pascal triangles, Integers, 2011).
+The mirror rule, for n = 2: mod 2 the local rule c = a + b is symmetric in
+a, b and c, so reflecting the triangle of X through its top-left corner gives
+the triangle of its left edge L(X) = (T(1,1), T(2,1), ..., T(m,1)), with the
+same entries, and L(L(X)) = X.  So X is balanced exactly when L(X) is, and
+the walk keeps only the X with X <= L(X) lexicographically, counting each
+twice when X < L(X) and listing L(X) beside it (Brunat and Maureso,
+Symmetries in Steinhaus triangles and in generalized Pascal triangles,
+Integers, 2011).
 
 The candidate space splits by fixed prefixes into blocks, one sequence per
 orbit of the units of Z/nZ: multiplying every term by a unit u multiplies
@@ -46,7 +44,7 @@ are merged, so the report is identical for any worker count.
 import itertools
 import math
 import os
-from functools import partial
+from functools import cache, lru_cache, partial
 
 from ._value import _set, _Value
 from .admissible import _target, admissible_classes, is_admissible
@@ -56,6 +54,9 @@ from .sequences import Sequence, is_balanced
 
 # A pool's blocks are cut until there are this many per worker.
 _BLOCKS_PER_WORKER = 4
+
+# A packed chunk is the most lanes that keep its table under this many rows.
+_TABLE_ROWS = 4096
 
 
 class SearchBudget(_Value):
@@ -106,9 +107,8 @@ def _pool_size(workers: int, blocks: int) -> int:
 def _sum_weights(n: int, m: int) -> list[int]:
     """w_1..w_m with w_j = C(m+1, j) - 1 mod n, as a list indexed from 0.
 
-    The sum of all the entries of the triangle of x_1..x_m is
-    w_1 x_1 + ... + w_m x_m mod n.  For n = 1 every weight is 0, and no
-    binomial is taken.
+    They weight the sum rule (see the module docstring).  For n = 1 every
+    weight is 0, and no binomial is taken.
     """
     if n == 1:
         return [0] * m
@@ -120,55 +120,124 @@ def _sum_weights(n: int, m: int) -> list[int]:
     return weights
 
 
+@cache
+def _chunk_table(n: int):
+    """(c, table, counts): the chunk table of the packed node mod n.
+
+    A chunk is c lanes of b = n.bit_length() bits, c the most with
+    n 2^(bc) < _TABLE_ROWS.  table[y][chunk] = (table[z], entries, i) for a
+    child whose entry below the chunk is y: lane j of the chunk adds the
+    entry y_j = y_(j-1) + d_j mod n (y_0 = y), placed in lane j of
+    `entries`, one lane up, while a pad passes y_(j-1) on and adds nothing.
+    z is the last y_j, and counts[i] holds the number of each residue among
+    the y_j, in lanes of c.bit_length() bits.  It is built by composition:
+    one lane, then a chunk of c - 1 lanes above it.
+    """
+    b = n.bit_length()
+    c = 1
+    while n << (b * (c + 1)) < _TABLE_ROWS:
+        c += 1
+    bits = c.bit_length()
+    # the codes from n up to the pad never occur, and act as pads here
+    lane = [[(y, 0, 0)] * (1 << b) for y in range(n)]
+    for y, row in enumerate(lane):
+        for v in range(n):
+            z = (y + v) % n
+            row[v] = (z, z << b, 1 << (z * bits))
+    table = lane
+    for _ in range(c - 1):
+        table = [
+            [(z2, e1 | e2 << b, k1 + k2)
+             for rest in range(len(table[0]))
+             for z1, e1, k1 in row
+             for z2, e2, k2 in (table[z1][rest],)]
+            for row in lane
+        ]
+    counts = sorted({k for row in table for _, _, k in row})
+    index = {k: i for i, k in enumerate(counts)}
+    rows = [[] for _ in range(n)]
+    for row, built in zip(rows, table):
+        row.extend((rows[z], e, index[k]) for z, e, k in built)
+    return c, rows, counts
+
+
+@cache
+def _count_lanes(n: int, w: int) -> list[int]:
+    """_chunk_table(n)'s counts, each residue's count in a lane of w bits."""
+    c, _, counts = _chunk_table(n)
+    bits = c.bit_length()
+    return [sum((k >> (r * bits) & (1 << bits) - 1) << (r * w) for r in range(n)) for k in counts]
+
+
+@lru_cache(maxsize=1)
+def _packed_walk(n: int, m: int):
+    """(table, mask, one, high, root, adds, pads, spans): the packed node's
+    constants for one length (see _scan_block).
+
+    A count lane is w bits and starts at the bias 2^(w-1) - 1 - target;
+    one[x] is 1 in residue x's lane, high the top bit of every lane, root
+    the empty tally and adds[i] the table's counts[i] in these lanes.
+    pads[k] is the pad code in lanes k up to the next multiple of c, and
+    spans[k] the bit offsets of a depth k diagonal's chunks.  The blocks of
+    a search share these constants and only read them.
+    """
+    c, table, _ = _chunk_table(n)
+    b = n.bit_length()
+    target = _target(n, m)
+    w = (target + c + 1).bit_length() + 1
+    one = [1 << (x * w) for x in range(n)]
+    offsets = range(0, (m + c - 1) // c * c * b, c * b)
+    heads = [tuple(offsets[:j]) for j in range(len(offsets) + 1)]
+    pads, spans = [], []
+    for k in range(m + 1):
+        chunks = (k + c - 1) // c
+        pads.append((1 << (chunks * c * b)) - (1 << (k * b)))
+        spans.append(heads[chunks])
+    lanes = sum(one)
+    return (table, (1 << (b * c)) - 1, one, lanes << (w - 1),
+            lanes * ((1 << (w - 1)) - 1 - target), _count_lanes(n, w), pads, spans)
+
+
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
     """Find the balanced length-m sequences that start with `prefix`.
 
     Depth-first search from the empty sequence, terms tried in increasing
     order, so the hits walked come out in lexicographic order.  A node is
     (depth, last term, right-edge diagonal, tally) for a prefix of that
-    length, and one child rule extends it: appending x to a prefix whose diagonal is
-    d_1..d_k adds the diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its
-    triangle, and a child whose diagonal pushes a residue count past
-    target = m(m+1)/(2n) is pruned with its whole subtree.  For n != 2 the
-    diagonal is a list and the tally the list of residue counts, and each
-    child x, from n - 1 down, is tallied entry by entry until a count passes
-    target.  For n = 2 the diagonal is an int, d_i in bit i - 1, and the
-    tally is the number of ones.  Child x's diagonal is the prefix XOR S of
-    d, taken by doubling (S ^= S << 1, << 2, << 4, ...), shifted up a bit
-    and, for x = 1, flipped in all k + 1 bits.  Its ones are the tally plus
-    that diagonal's popcount, and its zeros the (k + 1)(k + 2)/2 entries of
-    its triangle minus its ones.  At each depth inside `prefix` only the
-    child with the prefix's term is kept.
-    The children of a length m - 1 prefix are full sequences whose counts
-    all stay within target and sum to n * target, so they are exactly the
-    balanced completions.
-    A node also has the weighted sum P = w_1 x_1 + ... + w_k x_k mod n of
-    its prefix, w_j = C(m+1, j) - 1 (see _sum_weights), kept per depth in
-    `sums` as `terms` keeps the terms.  This is the sum rule: a
-    balanced triangle holds each residue target times, so its entries sum
-    to total = target n(n-1)/2 mod n, and they sum to P + m x_m for a
-    length m - 1 prefix, because the top row holds each term once and the
-    rows below are the triangle of the adjacent sums, so
-    w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), Pascal's rule for C(m+1, j) - 1.
-    So a length m - 1 prefix tries only the x, decreasing, with
-    m x = total - P (mod n), and a length m - 2 prefix drops, before walking
-    its diagonal, each child that leaves no such x.  For n = 2 and odd m
-    that x is the one the tally leaves anyway; for even m, m x = 0, so a
-    length m - 2 prefix drops each child whose parity P is not total.
-    For n = 2 the walk also keeps the left edge of the prefix's triangle,
-    per depth in `edge`, and in `tie` whether the prefix equals it.  Its
-    last term is the bottom entry of the triangle, which ends the diagonal,
-    so child x's is x XOR flip, flip the parity of the parent's diagonal
-    (bit `depth` of `zero`).  While the two agree, a node with flip = 1
-    drops x = 1, whose sequences all lie above their mirrors, so the walk
-    keeps the X with X <= L(X) (see the module docstring).  A hit counts 2
-    when X < L(X) and 1 when X = L(X), and a listing adds L(X) right after
-    each X < L(X): a block returns the hits it walked and their mirrors,
-    which may start with another prefix.  A length that is not admissible
-    has an empty block.  The nodes wait on an explicit stack, so the length
-    is not bounded by the recursion limit.  With first_hit the walk stops at
-    the first length m - 1 prefix that has balanced completions, and returns
-    those (for n = 2, those walked and their mirrors).
+    length.  Appending x to a prefix whose diagonal is d_1..d_k adds the
+    diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle, and a
+    child whose diagonal pushes a residue count past target is pruned with
+    its whole subtree, so the children of a length m - 1 prefix are exactly
+    its balanced completions.  `sums` keeps each prefix's weighted sum for
+    the sum rule, and n = 2 follows the mirror rule (see the module
+    docstring).  Inside `prefix` only the prefix's own term is kept.  The
+    node has one of three forms, chosen by n:
+
+    - binary, n = 2: the diagonal is an int, d_i in bit i - 1, and the tally
+      the number of ones.  Child x's diagonal is the prefix XOR S of d, taken
+      by doubling (S ^= S << 1, << 2, ...), shifted up a bit and, for x = 1,
+      flipped in all k + 1 bits.  `edge` keeps the left edge per depth and
+      `tie` whether the prefix equals it; while they agree, a parent whose
+      diagonal has odd parity drops x = 1.  A hit counts 2 when X < L(X),
+      and a listing adds L(X) after it, so a block may list another prefix.
+    - packed, n = 1 and 3 <= n <= 7: the diagonal is an int of b-bit lanes,
+      b = n.bit_length(), d_i in lane i - 1, padded with the code 2^b - 1 up
+      to a multiple of c lanes.  The tally is an int with a w-bit lane per
+      residue, biased so that a count passes target exactly when its lane's
+      top bit is set (see _packed_walk).  Child x adds x to its lane, then
+      c entries per lookup in _chunk_table's table, and is dropped at the
+      first chunk that leaves a top bit set: a lane can pass by c + 1 at
+      most, which w leaves room for, and at depth 0, with no chunk to walk,
+      x alone cannot pass a target of 1 or more.
+    - list, n >= 8: the diagonal is a list and the tally the list of counts,
+      and a child is tallied entry by entry until a count passes target.
+      For n >= 8 a table of under 4,096 rows has chunks of 2 lanes or 1, and
+      the packed node lost: _witness (18, 8) took 4.2 s against 3.1 s.
+
+    A length that is not admissible has an empty block.  The nodes wait on
+    an explicit stack, so the length is not bounded by the recursion limit.
+    With first_hit the walk stops at the first length m - 1 prefix that has
+    balanced completions, and returns those (for n = 2 with their mirrors).
     """
     target = _target(n, m)
     if target is None:
@@ -180,7 +249,14 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     # order, so the next one popped extends a prefix that terms[:depth - 1]
     # still holds.
     binary = n == 2
-    pending = [(0, 0, 0, 0)] if binary else [(0, 0, [], [0] * n)]
+    packed = not binary and n < 8
+    if binary:
+        pending = [(0, 0, 0, 0)]
+    elif packed:
+        table, mask, one, high, root, adds, pads, spans = _packed_walk(n, m)
+        pending = [(0, 0, 0, root)]
+    else:
+        pending = [(0, 0, [], [0] * n)]
     # sums[k]: the weighted sum of terms[:k]
     weights = _sum_weights(n, m)
     sums = [0] * m
@@ -239,6 +315,22 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
                 children.append((depth + 1, 1, zero ^ full, tally1))
             if low <= tally0 <= target and allowed & 1:
                 children.append((depth + 1, 0, zero, tally0))
+        elif packed:
+            if depth:
+                sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
+            span = spans[depth]
+            for x in options[depth][sums[depth]]:
+                h = tally + one[x]
+                row = table[x]
+                out = x
+                for s in span:
+                    row, e, a = row[diagonal >> s & mask]
+                    h += adds[a]
+                    if h & high:
+                        break
+                    out |= e << s
+                else:
+                    children.append((depth + 1, x, out | pads[depth + 1], h))
         else:
             if depth:
                 sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
@@ -319,20 +411,12 @@ def brute_force_balanced(
 
     Raises BudgetExceeded before any work if n^m exceeds budget.max_states,
     or if the m(m+1)/2 entries of a triangle do, which n = 1 alone can reach.
-    The search is depth first and prunes every prefix whose triangle already
-    holds more than m(m+1)/(2n) copies of some residue, and by the sum rule
-    every last term but those that bring the sum of all entries to the
-    balanced triangle's, m(m+1)/(2n) n(n-1)/2 mod n; for n = 2 it walks one
-    sequence of each mirror pair and adds the other (see _scan_block).  A
+    The search and its rules are described in the module docstring.  A
     length that is not admissible has no balanced sequence and is answered
-    at once.  One sequence per orbit of the units is walked (see _blocks):
-    a count weights each hit by its orbit's size, and a listing multiplies
-    each block's hits by the block's units, onto the rest of their orbits,
-    in this process after the blocks are merged.  With more than one worker
-    the blocks are cut at the least length k, up to m, with
-    n^k >= 4 * workers, and handed to a process pool.  states_examined is
-    n^m, the size of the space covered, however much of it was pruned or
-    skipped by symmetry.
+    at once.  With more than one worker the blocks are cut at the least
+    length k, up to m, with n^k >= 4 * workers, and handed to a process
+    pool.  states_examined is n^m, the size of the space covered, however
+    much of it was pruned or skipped by symmetry.
     found is sorted lexicographically and is empty in count_only mode.
     """
     if n < 1 or m < 1:
@@ -357,6 +441,8 @@ def brute_force_balanced(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        if n != 2 and n < 8:
+            _packed_walk(n, m)  # built here, so that forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
     count = sum((1 + len(us)) * c for us, (_, c) in zip(units, blocks))

@@ -71,7 +71,8 @@ def test_bench_pairs_summary():
             runs[-2]["job_ms"]["c"] = runs[-1]["job_ms"]["c"] = 2.0 * seed
     runs.append(_run("long-rows", 6, "parent", wall_s=9.0, states=0))  # no partner: ignored
     runs.append(_run("cli", 1, "change", wall_s=1.0, states=0))  # one side only: no summary
-    summary = summarize(runs, {"wall_s": "lower", "states": "higher"})
+    summary = summarize(runs, {"wall_s": "lower", "states": "higher"},
+                        {"wall_s": 0.2, "states": 0.01})
     assert list(summary) == ["long-rows"]
     wall = summary["long-rows"]["wall_s"]
     assert wall["pairs"] == 5
@@ -89,6 +90,23 @@ def test_bench_pairs_summary():
     states = summary["long-rows"]["states"]
     assert states["median_change"] == pytest.approx(1 / 30, abs=1e-5)
     assert states["gain"] is False
+    # against a bound of 0.2, wall_s's parent spreads 0.02 about a median of
+    # 0.21 and the change is better; states' parent spreads 20 about 30,
+    # far past its bound of 0.01
+    assert (wall["regression"], wall["unresolved"]) == (False, False)
+    assert (states["regression"], states["unresolved"]) == (False, True)
+    # a change 30% above a parent that spreads 2%: a regression where lower
+    # is better and the bound is 0.2, not against 0.35, nor where higher is
+    # better; 30% below is one where higher is better
+    for scale, direction, bound, regression in [(1.3, "lower", 0.2, True),
+                                                (1.3, "lower", 0.35, False),
+                                                (1.3, "higher", 0.2, False),
+                                                (0.7, "higher", 0.2, True)]:
+        moved = []
+        for seed, p in enumerate([1.00, 1.02, 1.01, 0.99, 1.03], 1):
+            moved += [_run("cli", seed, "parent", t=p), _run("cli", seed, "change", t=scale * p)]
+        t = summarize(moved, {"t": direction}, {"t": bound})["cli"]["t"]
+        assert (t["regression"], t["unresolved"]) == (regression, False), (scale, direction, bound)
     # per job, each side's median over the pairs; runs without job times are
     # left out, as the two unpaired runs are
     jobs = bench_pairs.summarize_jobs(runs)

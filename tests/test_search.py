@@ -1,5 +1,6 @@
 """Tests for exhaustive search, even-modulus classification, and probing."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from steinhaus.progressions import _construction
 from steinhaus.orders import totient
 from steinhaus.search import (
     _blocks,
+    _chunk_table,
     _pool_size,
     _scan_block,
     _sum_weights,
@@ -368,6 +370,67 @@ def test_scan_block_first_hit_matches_odometer(case):
         first = mirrored_hits(first)
     assert _scan_block(n, m, prefix, False, first_hit=True) == (first, len(first))
     assert _scan_block(n, m, prefix, True, first_hit=True) == ([], len(first))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
+def test_chunk_table_matches_an_entry_by_entry_walk(n):
+    # every carry and every chunk of residue lanes topped by a run of pads
+    c, table, counts = _chunk_table(n)
+    b = n.bit_length()
+    pad = (1 << b) - 1
+    assert n << (b * c) < 4096 <= n << (b * (c + 1))
+    for y in range(n):
+        for length in range(c + 1):
+            for lanes in itertools.product(range(n), repeat=length):
+                chunk = sum(v << (j * b) for j, v in enumerate(lanes + (pad,) * (c - length)))
+                z = y
+                entries = 0
+                tally = [0] * n
+                for j, v in enumerate(lanes, 1):
+                    z = (z + v) % n
+                    entries |= z << (j * b)
+                    tally[z] += 1
+                row, e, i = table[y][chunk]
+                assert row is table[z], (y, lanes)
+                assert e == entries, (y, lanes)
+                bits = c.bit_length()
+                assert counts[i] == sum(k << (r * bits) for r, k in enumerate(tally)), (y, lanes)
+
+
+@st.composite
+def deep_blocks(draw):
+    """(n, m, prefix) with 1 to 3 free terms, either side of the packed node:
+    n = 7 walks it, with chunks of 3 lanes, and n = 8 the list rule."""
+    n, m = draw(st.sampled_from([(7, 13), (8, 15)]))
+    k = m - draw(st.integers(1, 3))
+    return n, m, tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(deep_blocks())
+# prefixes of _witness's hits, whose counts all end at target exactly
+@example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2)))
+@example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5)))
+# the prefix's last entry, which ends a chunk of its parent's diagonal,
+# brings a count to target 13, or to 14
+@example((7, 13, (6, 5, 1, 4, 4, 1, 3, 6, 5, 3)))
+@example((7, 13, (1, 5, 2, 6, 1, 4, 6, 6, 2, 0)))
+def test_scan_block_matches_odometer_on_deep_prefixes(case):
+    n, m, prefix = case
+    hits, count = odometer_block(n, m, prefix, False)
+    assert _scan_block(n, m, prefix, False) == (hits, count)
+    assert _scan_block(n, m, prefix, True) == ([], count)
+    head = hits[0][: m - 1] if hits else None
+    first = [hit for hit in hits if hit[: m - 1] == head]
+    assert _scan_block(n, m, prefix, False, first_hit=True) == (first, len(first))
+
+
+@pytest.mark.parametrize("m", [60, 200])
+def test_trivial_modulus_fills_wide_lanes(m):
+    # targets of 1830 and 20100 take count lanes of 12 and 16 bits
+    report = brute_force_balanced(1, m)
+    assert report == SearchReport(1, m, (Sequence(1, (0,) * m),), 1, 1)
+    assert brute_force_balanced(1, m, count_only=True).count == 1
 
 
 @settings(max_examples=200, deadline=None)
