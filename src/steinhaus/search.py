@@ -174,7 +174,8 @@ def _packed_walk(n: int, m: int):
     """(table, mask, one, high, root, adds, pads, spans): the packed node's
     constants for one length (see _scan_block).
 
-    A count lane is w bits and starts at the bias 2^(w-1) - 1 - target;
+    A count lane is w bits and starts at the bias 2^(w-1) - 1 - target, so
+    its top bit is set past target, with room for the c + 1 a child adds;
     one[x] is 1 in residue x's lane, high the top bit of every lane, root
     the empty tally and adds[i] the table's counts[i] in these lanes.
     pads[k] is the pad code in lanes k up to the next multiple of c, and
@@ -205,11 +206,10 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     order, so the hits walked come out in lexicographic order.  A node is
     (depth, last term, right-edge diagonal, tally) for a prefix of that
     length.  Appending x to a prefix whose diagonal is d_1..d_k adds the
-    diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle, and a
-    child whose diagonal pushes a residue count past target is pruned with
-    its whole subtree, so the children of a length m - 1 prefix are exactly
-    its balanced completions.  `sums` keeps each prefix's weighted sum for
-    the sum rule, and n = 2 follows the mirror rule (see the module
+    diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle; a child
+    that pushes a residue count past target is pruned with its subtree, so
+    a length m - 1 prefix's children are its balanced completions.  `sums`
+    serves the sum rule, and n = 2 follows the mirror rule (see the module
     docstring).  Inside `prefix` only the prefix's own term is kept.  The
     node has one of three forms, chosen by n:
 
@@ -222,17 +222,15 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
       and a listing adds L(X) after it, so a block may list another prefix.
     - packed, n = 1 and 3 <= n <= 7: the diagonal is an int of b-bit lanes,
       b = n.bit_length(), d_i in lane i - 1, padded with the code 2^b - 1 up
-      to a multiple of c lanes.  The tally is an int with a w-bit lane per
-      residue, biased so that a count passes target exactly when its lane's
-      top bit is set (see _packed_walk).  Child x adds x to its lane, then
-      c entries per lookup in _chunk_table's table, and is dropped at the
-      first chunk that leaves a top bit set: a lane can pass by c + 1 at
-      most, which w leaves room for, and at depth 0, with no chunk to walk,
-      x alone cannot pass a target of 1 or more.
+      to a multiple of c lanes, and the tally an int of biased w-bit lanes,
+      one per residue, whose top bit is set exactly when the count passes
+      target (see _packed_walk).  Child x adds x to its lane, then c entries
+      per lookup in _chunk_table's table, and is dropped at the first chunk
+      that sets a top bit (at depth 0 x alone cannot: target >= 1).
     - list, n >= 8: the diagonal is a list and the tally the list of counts,
       and a child is tallied entry by entry until a count passes target.
-      For n >= 8 a table of under 4,096 rows has chunks of 2 lanes or 1, and
-      the packed node lost: _witness (18, 8) took 4.2 s against 3.1 s.
+      Here a table of under 4,096 rows has chunks of 2 lanes or 1, and the
+      packed node lost: _witness (18, 8) took 4.2 s against 3.1 s.
 
     A length that is not admissible has an empty block.  The nodes wait on
     an explicit stack, so the length is not bounded by the recursion limit.

@@ -378,6 +378,7 @@ def test_chunk_table_matches_an_entry_by_entry_walk(n):
     c, table, counts = _chunk_table(n)
     b = n.bit_length()
     pad = (1 << b) - 1
+    bits = c.bit_length()
     assert n << (b * c) < 4096 <= n << (b * (c + 1))
     for y in range(n):
         for length in range(c + 1):
@@ -393,7 +394,6 @@ def test_chunk_table_matches_an_entry_by_entry_walk(n):
                 row, e, i = table[y][chunk]
                 assert row is table[z], (y, lanes)
                 assert e == entries, (y, lanes)
-                bits = c.bit_length()
                 assert counts[i] == sum(k << (r * bits) for r, k in enumerate(tally)), (y, lanes)
 
 
