@@ -41,10 +41,15 @@ def _csv(values) -> str:
 
 
 def _max_states(args) -> int:
-    """--max-states where the command has it, else $STEINHAUS_MAX_STATES, else the default."""
+    """--max-states where the command has it, else $STEINHAUS_MAX_STATES, else the default.
+
+    A cap below 1 is bad usage, refused as SearchBudget refuses it.
+    """
     max_states = getattr(args, "max_states", None)
     if max_states is None:
         max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
+    if max_states < 1:
+        raise ValueError(f"max_states must be positive, got {max_states}")
     return max_states
 
 

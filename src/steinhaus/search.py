@@ -44,7 +44,7 @@ are merged, so the report is identical for any worker count.
 import itertools
 import math
 import os
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 from ._value import _set, _Value
 from .admissible import _target, admissible_classes, is_admissible
@@ -121,29 +121,25 @@ def _sum_weights(n: int, m: int) -> list[int]:
 
 
 @cache
-def _chunk_table(n: int):
-    """(c, table, counts): the chunk table of the packed node mod n.
+def _chunk_table(n: int, c: int, w: int):
+    """The packed node's chunk table mod n, for the chunk of c lanes and the
+    count lanes of w bits that _packed_walk picks.
 
-    A chunk is c lanes of b = n.bit_length() bits, c the most with
-    n 2^(bc) < _TABLE_ROWS.  table[y][chunk] = (table[z], entries, i) for a
-    child whose entry below the chunk is y: lane j of the chunk adds the
-    entry y_j = y_(j-1) + d_j mod n (y_0 = y), placed in lane j of
-    `entries`, one lane up, while a pad passes y_(j-1) on and adds nothing.
-    z is the last y_j, and counts[i] holds the number of each residue among
-    the y_j, in lanes of c.bit_length() bits.  It is built by composition:
-    one lane, then a chunk of c - 1 lanes above it.
+    table[y][chunk] = (table[z], entries, counts) for a child whose entry
+    below the chunk is y: lane j of the chunk adds the entry
+    y_j = y_(j-1) + d_j mod n (y_0 = y), placed in lane j of `entries`, one
+    lane up, while a pad passes y_(j-1) on and adds nothing.  z is the last
+    y_j, and `counts` holds the number of each residue among the y_j, residue
+    r in the w-bit lane r.  It is built by composition: one lane, then a
+    chunk of c - 1 lanes above it.
     """
     b = n.bit_length()
-    c = 1
-    while n << (b * (c + 1)) < _TABLE_ROWS:
-        c += 1
-    bits = c.bit_length()
     # the codes from n up to the pad never occur, and act as pads here
     lane = [[(y, 0, 0)] * (1 << b) for y in range(n)]
     for y, row in enumerate(lane):
         for v in range(n):
             z = (y + v) % n
-            row[v] = (z, z << b, 1 << (z * bits))
+            row[v] = (z, z << b, 1 << (z * w))
     table = lane
     for _ in range(c - 1):
         table = [
@@ -153,37 +149,31 @@ def _chunk_table(n: int):
              for z2, e2, k2 in (table[z1][rest],)]
             for row in lane
         ]
-    counts = sorted({k for row in table for _, _, k in row})
-    index = {k: i for i, k in enumerate(counts)}
     rows = [[] for _ in range(n)]
     for row, built in zip(rows, table):
-        row.extend((rows[z], e, index[k]) for z, e, k in built)
-    return c, rows, counts
+        row.extend((rows[z], e, k) for z, e, k in built)
+    return rows
 
 
 @cache
-def _count_lanes(n: int, w: int) -> list[int]:
-    """_chunk_table(n)'s counts, each residue's count in a lane of w bits."""
-    c, _, counts = _chunk_table(n)
-    bits = c.bit_length()
-    return [sum((k >> (r * bits) & (1 << bits) - 1) << (r * w) for r in range(n)) for k in counts]
-
-
-@lru_cache(maxsize=1)
 def _packed_walk(n: int, m: int):
-    """(table, mask, one, high, root, adds, pads, spans): the packed node's
+    """(table, mask, one, high, root, pads, spans): the packed node's
     constants for one length (see _scan_block).
 
-    A count lane is w bits and starts at the bias 2^(w-1) - 1 - target, so
-    its top bit is set past target, with room for the c + 1 a child adds;
-    one[x] is 1 in residue x's lane, high the top bit of every lane, root
-    the empty tally and adds[i] the table's counts[i] in these lanes.
-    pads[k] is the pad code in lanes k up to the next multiple of c, and
-    spans[k] the bit offsets of a depth k diagonal's chunks.  The blocks of
-    a search share these constants and only read them.
+    A chunk is c lanes of b = n.bit_length() bits, c the most with
+    n 2^(bc) < _TABLE_ROWS table rows.  A count lane is w bits,
+    w = (target + c + 1).bit_length() + 1, and starts at the bias
+    2^(w-1) - 1 - target, so its top bit is set past target, with room for
+    the c + 1 a child adds; table is _chunk_table(n, c, w), one[x] is 1 in
+    residue x's lane, high the top bit of every lane and root the empty
+    tally.  pads[k] is the pad code in lanes k up to the next multiple of c,
+    and spans[k] the bit offsets of a depth k diagonal's chunks.  The blocks
+    of a search share these constants and only read them.
     """
-    c, table, _ = _chunk_table(n)
     b = n.bit_length()
+    c = 1
+    while n << (b * (c + 1)) < _TABLE_ROWS:
+        c += 1
     target = _target(n, m)
     w = (target + c + 1).bit_length() + 1
     one = [1 << (x * w) for x in range(n)]
@@ -195,8 +185,8 @@ def _packed_walk(n: int, m: int):
         pads.append((1 << (chunks * c * b)) - (1 << (k * b)))
         spans.append(heads[chunks])
     lanes = sum(one)
-    return (table, (1 << (b * c)) - 1, one, lanes << (w - 1),
-            lanes * ((1 << (w - 1)) - 1 - target), _count_lanes(n, w), pads, spans)
+    return (_chunk_table(n, c, w), (1 << (b * c)) - 1, one, lanes << (w - 1),
+            lanes * ((1 << (w - 1)) - 1 - target), pads, spans)
 
 
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
@@ -208,10 +198,13 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     length.  Appending x to a prefix whose diagonal is d_1..d_k adds the
     diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle; a child
     that pushes a residue count past target is pruned with its subtree, so
-    a length m - 1 prefix's children are its balanced completions.  `sums`
-    serves the sum rule, and n = 2 follows the mirror rule (see the module
-    docstring).  Inside `prefix` only the prefix's own term is kept.  The
-    node has one of three forms, chosen by n:
+    a length m - 1 prefix's children are its balanced completions.  The
+    terms a child may take come from one table, options[k][p] for a length
+    k prefix of weighted sum p (kept in `sums`): it carries the sum rule and
+    the block prefix, which at depth k < len(prefix) allows prefix[k] alone,
+    and the n = 2 masks `keep` are read off it.  n = 2 also follows the
+    mirror rule (see the module docstring).  The node has one of three
+    forms, chosen by n:
 
     - binary, n = 2: the diagonal is an int, d_i in bit i - 1, and the tally
       the number of ones.  Child x's diagonal is the prefix XOR S of d, taken
@@ -225,8 +218,9 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
       to a multiple of c lanes, and the tally an int of biased w-bit lanes,
       one per residue, whose top bit is set exactly when the count passes
       target (see _packed_walk).  Child x adds x to its lane, then c entries
-      per lookup in _chunk_table's table, and is dropped at the first chunk
-      that sets a top bit (at depth 0 x alone cannot: target >= 1).
+      and their counts per lookup in _chunk_table's table, and is dropped at
+      the first chunk that sets a top bit (at depth 0 x alone cannot:
+      target >= 1).
     - list, n >= 8: the diagonal is a list and the tally the list of counts,
       and a child is tallied entry by entry until a count passes target.
       Here a table of under 4,096 rows has chunks of 2 lanes or 1, and the
@@ -252,7 +246,7 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     if binary:
         pending = [(0, 0, 0, 0)]
     elif packed:
-        table, mask, one, high, root, adds, pads, spans = _packed_walk(n, m)
+        table, mask, one, high, root, pads, spans = _packed_walk(n, m)
         pending = [(0, 0, 0, root)]
     else:
         pending = [(0, 0, [], [0] * n)]
@@ -260,28 +254,24 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     weights = _sum_weights(n, m)
     sums = [0] * m
     total = target * (n * (n - 1) // 2) % n
+    # options[k][p]: the terms, decreasing, that a length k prefix of weighted
+    # sum p may take next
+    every = range(n - 1, -1, -1)
+    last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
+    options = [[every] * n] * (m - 1) + [last_terms]
+    if m > 1:
+        w = weights[m - 2]
+        options[m - 2] = [[x for x in every if last_terms[(p + w * x) % n]] for p in range(n)]
+    for k, x in enumerate(prefix):
+        options[k] = [[x] if x in row else [] for row in options[k]]
     # whether the hits of the last node popped are each counted with a mirror
     mirror = False
     if binary:
         # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree;
-        # keep[k][p]: the terms, bit x for x, that a length k prefix of weighted
-        # parity p may take next.  For even m, w_m = 0, so a length m - 1 prefix
-        # must have parity total itself.
+        # keep[k][p]: options[k][p] as a mask, bit x for term x
         edge = [0] * m
         tie = [True] * m
-        keep = [[3, 3]] * m
-        if m % 2 == 0:
-            w = weights[m - 2]
-            keep[m - 2] = [sum(1 << x for x in (0, 1) if p ^ (w & x) == total) for p in (0, 1)]
-    else:
-        # options[k][p]: the terms, decreasing, that a length k prefix of
-        # weighted sum p may take next
-        every = range(n - 1, -1, -1)
-        last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
-        options = [[every] * n] * (m - 1) + [last_terms]
-        if m > 1:
-            w = weights[m - 2]
-            options[m - 2] = [[x for x in every if last_terms[(p + w * x) % n]] for p in range(n)]
+        keep = [[sum(1 << x for x in row) for row in rows] for rows in options]
     while pending:
         depth, last, diagonal, tally = pending.pop()
         if depth:
@@ -323,8 +313,8 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
                 row = table[x]
                 out = x
                 for s in span:
-                    row, e, a = row[diagonal >> s & mask]
-                    h += adds[a]
+                    row, e, k = row[diagonal >> s & mask]
+                    h += k
                     if h & high:
                         break
                     out |= e << s
@@ -349,8 +339,6 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
                     extended.append(d)
                 else:
                     children.append((depth + 1, x, extended, child))
-        if depth < len(prefix):
-            children = [c for c in children if c[1] == prefix[depth]]
         if depth < m - 1:
             pending.extend(children)
             continue
@@ -440,8 +428,6 @@ def brute_force_balanced(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        if n != 2 and n < 8:
-            _packed_walk(n, m)  # built here, so that forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(scan, prefixes))
     count = sum((1 + len(us)) * c for us, (_, c) in zip(units, blocks))

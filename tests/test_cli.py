@@ -236,6 +236,27 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     assert "BudgetExceeded" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("search", "--n", "2", "--m", "4"),
+    ("probe", "--n", "5", "--m", "4"),
+    ("classify-even", "--n", "4", "--max-m", "8"),
+    ("balanced", "--n", "3", "--seq", "1,2,0"),
+    ("triangle", "--n", "3", "--seq", "1,2,0"),
+    ("derive", "--n", "3", "--seq", "1,2,0"),
+    ("construct", "--n", "3", "--m", "3"),
+    ("admissible", "--n", "3", "--max", "10"),
+])
+def test_a_state_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", cap)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: max_states must be positive, got {cap}\n"
+    if argv[0] in ("search", "probe"):
+        monkeypatch.delenv("STEINHAUS_MAX_STATES")
+        assert invoke(capsys, *argv, "--max-states", cap) == (1, "", err)
+
+
 @pytest.mark.parametrize("command", ["triangle", "balanced"])
 def test_sequence_commands_check_the_state_cap(capsys, monkeypatch, command):
     # a 5-term sequence has a 15-entry triangle

@@ -134,3 +134,23 @@ def test_bench_pairs_job_medians_scale_as_the_bench_does():
     }
     # a: 10, 30, 10 and 40 ms, median 20; b: 50 and 300 ms, median 175
     assert bench_pairs.job_medians(details, scaled) == {"a": 20.0, "b": 175.0}
+
+
+def test_code_lines_counts_code_alone(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""A module docstring\n'
+        'of two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        "    return 1  # a trailing comment\n"
+    )
+    # def f(): and its return line
+    assert _script_lines(["code_lines.py", str(source)]) == [
+        "2 code lines (not blank, comments or docstrings)"
+    ]
+    # one line per file, then the total
+    lines = _script_lines(["code_lines.py", str(source), str(source)])
+    assert lines == [f"     2 {source}"] * 2 + ["4 code lines (not blank, comments or docstrings)"]

@@ -33,6 +33,7 @@ from steinhaus.orders import totient
 from steinhaus.search import (
     _blocks,
     _chunk_table,
+    _packed_walk,
     _pool_size,
     _scan_block,
     _sum_weights,
@@ -374,43 +375,60 @@ def test_scan_block_first_hit_matches_odometer(case):
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
 def test_chunk_table_matches_an_entry_by_entry_walk(n):
-    # every carry and every chunk of residue lanes topped by a run of pads
-    c, table, counts = _chunk_table(n)
+    # the chunk width c and count lane width w that _packed_walk picks, with
+    # one table per w shared by every length that has it
     b = n.bit_length()
     pad = (1 << b) - 1
-    bits = c.bit_length()
-    assert n << (b * c) < 4096 <= n << (b * (c + 1))
-    for y in range(n):
-        for length in range(c + 1):
-            for lanes in itertools.product(range(n), repeat=length):
-                chunk = sum(v << (j * b) for j, v in enumerate(lanes + (pad,) * (c - length)))
-                z = y
-                entries = 0
-                tally = [0] * n
-                for j, v in enumerate(lanes, 1):
-                    z = (z + v) % n
-                    entries |= z << (j * b)
-                    tally[z] += 1
-                row, e, i = table[y][chunk]
-                assert row is table[z], (y, lanes)
-                assert e == entries, (y, lanes)
-                assert counts[i] == sum(k << (r * bits) for r, k in enumerate(tally)), (y, lanes)
+    tables, widths = {}, []
+    for m in range(1, 40):
+        if is_admissible(n, m):
+            table, mask, _, high, *_ = _packed_walk(n, m)
+            c, w = mask.bit_length() // b, high.bit_length() // n
+            widths.append(w)
+            assert n << (b * c) < 4096 <= n << (b * (c + 1))
+            assert tables.setdefault(w, table) is table, (m, w)
+            assert table is _chunk_table(n, c, w)
+    # two widths at least, and one of them shared by two lengths
+    assert 2 <= len(tables) < len(widths)
+    # every carry and every chunk of residue lanes topped by a run of pads,
+    # at the two narrowest lane widths
+    for w in sorted(tables)[:2]:
+        table = tables[w]
+        for y in range(n):
+            for length in range(c + 1):
+                for lanes in itertools.product(range(n), repeat=length):
+                    chunk = sum(v << (j * b) for j, v in enumerate(lanes + (pad,) * (c - length)))
+                    z = y
+                    entries = 0
+                    tally = [0] * n
+                    for j, v in enumerate(lanes, 1):
+                        z = (z + v) % n
+                        entries |= z << (j * b)
+                        tally[z] += 1
+                    row, e, counts = table[y][chunk]
+                    assert row is table[z], (w, y, lanes)
+                    assert e == entries, (w, y, lanes)
+                    assert counts == sum(k << (r * w) for r, k in enumerate(tally)), (w, y, lanes)
 
 
 @st.composite
 def deep_blocks(draw):
-    """(n, m, prefix) with 1 to 3 free terms, either side of the packed node:
-    n = 7 walks it, with chunks of 3 lanes, and n = 8 the list rule."""
+    """(n, m, prefix) with 0 to 3 free terms, either side of the packed node:
+    n = 7 walks it, with chunks of 3 lanes, and n = 8 the list rule.  A
+    prefix of all m terms is carried by the last depth's options alone."""
     n, m = draw(st.sampled_from([(7, 13), (8, 15)]))
-    k = m - draw(st.integers(1, 3))
+    k = m - draw(st.integers(0, 3))
     return n, m, tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(deep_blocks())
-# prefixes of _witness's hits, whose counts all end at target exactly
+# prefixes of _witness's hits, whose counts all end at target exactly, and
+# the hits themselves
 @example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2)))
 @example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5)))
+@example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2, 4, 5, 5)))
+@example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5, 5, 7, 0)))
 # the prefix's last entry, which ends a chunk of its parent's diagonal,
 # brings a count to target 13, or to 14
 @example((7, 13, (6, 5, 1, 4, 4, 1, 3, 6, 5, 3)))
