@@ -4,8 +4,8 @@ comment line and not part of a docstring.
     python3 scripts/code_lines.py src/steinhaus/*.py
 
 A docstring is a string literal that opens the body of a module, class or
-function.  A code line with a trailing comment counts.  The last line printed
-is the total; with more than one file, a line per file comes first.
+function.  A code line with a trailing comment counts.  It prints the total over
+the files given.
 """
 
 import ast
@@ -25,16 +25,9 @@ def code_lines(text: str) -> int:
                if line.strip() and not line.lstrip().startswith("#") and i not in docstrings)
 
 
-def main(paths) -> None:
-    total = 0
-    for path in paths:
-        with open(path, encoding="utf-8") as f:
-            lines = code_lines(f.read())
-        if len(paths) > 1:
-            print(f"{lines:6d} {path}")
-        total += lines
-    print(f"{total} code lines (not blank, comments or docstrings)")
-
-
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    total = 0
+    for path in sys.argv[1:]:
+        with open(path, encoding="utf-8") as f:
+            total += code_lines(f.read())
+    print(f"{total} code lines (not blank, comments or docstrings)")

@@ -423,12 +423,15 @@ def deep_blocks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(deep_blocks())
-# prefixes of _witness's hits, whose counts all end at target exactly, and
-# the hits themselves
+# prefixes of _witness's hits, whose counts all end at target exactly, the
+# hits themselves, and the hits with another last term, which no balanced
+# sequence starts with although their length m - 1 prefixes have a completion
 @example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2)))
 @example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5)))
 @example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2, 4, 5, 5)))
 @example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5, 5, 7, 0)))
+@example((7, 13, (1, 0, 0, 0, 2, 0, 4, 2, 4, 2, 4, 5, 0)))
+@example((8, 15, (1, 0, 0, 0, 0, 2, 1, 5, 1, 4, 7, 5, 5, 7, 1)))
 # the prefix's last entry, which ends a chunk of its parent's diagonal,
 # brings a count to target 13, or to 14
 @example((7, 13, (6, 5, 1, 4, 4, 1, 3, 6, 5, 3)))
