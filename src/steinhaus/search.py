@@ -16,7 +16,7 @@ x_(m-1) + x_m, so w_j(m) = 1 + w_j(m-1) + w_(j-1)(m-1), which is Pascal's
 rule for C(m+1, j) - 1.  As w_m = m, the last term x of a length m - 1 prefix
 must solve m x = total - (its weighted sum) mod n: one x when gcd(m, n) = 1,
 and often none at all otherwise, so a length m - 2 prefix drops each child
-that leaves no such x.
+that leaves no such x; _plan tables the terms once per length.
 
 The mirror rule, for n = 2: mod 2 the local rule c = a + b is symmetric in
 a, b and c, so reflecting the triangle of X through its top-left corner gives
@@ -123,7 +123,7 @@ def _sum_weights(n: int, m: int) -> list[int]:
 @cache
 def _chunk_table(n: int, c: int, w: int):
     """The packed node's chunk table mod n, for the chunk of c lanes and the
-    count lanes of w bits that _packed_walk picks.
+    count lanes of w bits that _plan picks.
 
     table[y][chunk] = (table[z], entries, counts) for a child whose entry
     below the chunk is y: lane j of the chunk adds the entry
@@ -156,37 +156,52 @@ def _chunk_table(n: int, c: int, w: int):
 
 
 @cache
-def _packed_walk(n: int, m: int):
-    """(table, mask, one, high, root, pads, spans): the packed node's
-    constants for one length (see _scan_block).
+def _plan(n: int, m: int):
+    """(weights, options, keep, packed): what a search of length m mod n needs
+    of n and m alone, built once for all its blocks (see _scan_block).
 
-    A chunk is c lanes of b = n.bit_length() bits, c the most with
-    n 2^(bc) < _TABLE_ROWS table rows.  A count lane is w bits,
-    w = (target + c + 1).bit_length() + 1, and starts at the bias
-    2^(w-1) - 1 - target, so its top bit is set past target, with room for
-    the c + 1 a child adds; table is _chunk_table(n, c, w), one[x] is 1 in
-    residue x's lane, high the top bit of every lane and root the empty
-    tally.  pads[k] is the pad code in lanes k up to the next multiple of c,
-    and spans[k] the bit offsets of a depth k diagonal's chunks.  The blocks
-    of a search share these constants and only read them.
+    weights is _sum_weights(n, m) and options[k][p] the terms, decreasing,
+    that a length k prefix of weighted sum p may take by the sum rule; for
+    n = 2 keep[k][p] is that row as a mask, bit x for term x, else None.
+    packed is None but for n = 1 and 3 <= n <= 7: (table, mask, one, high,
+    root, pads, spans), the packed node's constants.  A chunk is c lanes of
+    b = n.bit_length() bits, c the most with n 2^(bc) < _TABLE_ROWS table
+    rows.  A count lane is w = (target + c + 1).bit_length() + 1 bits and
+    starts at the bias 2^(w-1) - 1 - target, so its top bit is set past
+    target, with room for the c + 1 a child adds.  table is
+    _chunk_table(n, c, w), one[x] is 1 in residue x's lane, high the top
+    bit of every lane and root the empty tally; pads[k] is the pad code in
+    lanes k up to the next multiple of c, and spans[k] the bit offsets of a
+    depth k diagonal's chunks.
     """
-    b = n.bit_length()
-    c = 1
-    while n << (b * (c + 1)) < _TABLE_ROWS:
-        c += 1
     target = _target(n, m)
-    w = (target + c + 1).bit_length() + 1
-    one = [1 << (x * w) for x in range(n)]
-    offsets = range(0, (m + c - 1) // c * c * b, c * b)
-    heads = [tuple(offsets[:j]) for j in range(len(offsets) + 1)]
-    pads, spans = [], []
-    for k in range(m + 1):
-        chunks = (k + c - 1) // c
-        pads.append((1 << (chunks * c * b)) - (1 << (k * b)))
-        spans.append(heads[chunks])
-    lanes = sum(one)
-    return (_chunk_table(n, c, w), (1 << (b * c)) - 1, one, lanes << (w - 1),
-            lanes * ((1 << (w - 1)) - 1 - target), pads, spans)
+    weights = _sum_weights(n, m)
+    total = target * (n * (n - 1) // 2) % n
+    every = range(n - 1, -1, -1)
+    last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
+    options = [[every] * n] * (m - 1) + [last_terms]
+    if m > 1:
+        v = weights[m - 2]
+        options[m - 2] = [[x for x in every if last_terms[(p + v * x) % n]] for p in range(n)]
+    keep = packed = None
+    if n == 2:
+        keep = [[sum(1 << x for x in row) for row in rows] for rows in options]
+    elif n < 8:
+        b = n.bit_length()
+        c = 1
+        while n << (b * (c + 1)) < _TABLE_ROWS:
+            c += 1
+        w = (target + c + 1).bit_length() + 1
+        one = [1 << (x * w) for x in range(n)]
+        offsets = range(0, (m + c - 1) // c * c * b, c * b)
+        heads = [tuple(offsets[:j]) for j in range(len(offsets) + 1)]
+        chunks = [(k + c - 1) // c for k in range(m + 1)]
+        pads = [(1 << (j * c * b)) - (1 << (k * b)) for k, j in enumerate(chunks)]
+        spans = [heads[j] for j in chunks]
+        lanes = sum(one)
+        packed = (_chunk_table(n, c, w), (1 << (b * c)) - 1, one, lanes << (w - 1),
+                  lanes * ((1 << (w - 1)) - 1 - target), pads, spans)
+    return weights, options, keep, packed
 
 
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
@@ -199,10 +214,10 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle; a child
     that pushes a residue count past target is pruned with its subtree, so
     a length m - 1 prefix's children are its balanced completions.  The
-    terms a child may take come from one table, options[k][p] for a length
-    k prefix of weighted sum p (kept in `sums`): it carries the sum rule and
-    the block prefix, which at depth k < len(prefix) allows prefix[k] alone,
-    and the n = 2 masks `keep` are read off it.  n = 2 also follows the
+    terms a child may take come from _plan(n, m): options[k][p], or for
+    n = 2 the mask keep[k][p], for a length k prefix of weighted sum p (kept
+    in `sums`).  A block only reads the plan, and takes new rows for depth
+    k < len(prefix) that allow prefix[k] alone.  n = 2 also follows the
     mirror rule (see the module docstring).  The node has one of three
     forms, chosen by n:
 
@@ -217,7 +232,7 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
       b = n.bit_length(), d_i in lane i - 1, padded with the code 2^b - 1 up
       to a multiple of c lanes, and the tally an int of biased w-bit lanes,
       one per residue, whose top bit is set exactly when the count passes
-      target (see _packed_walk).  Child x adds x to its lane, then c entries
+      target (see _plan).  Child x adds x to its lane, then c entries
       and their counts per lookup in _chunk_table's table, and is dropped at
       the first chunk that sets a top bit (at depth 0 x alone cannot:
       target >= 1).
@@ -235,55 +250,44 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     target = _target(n, m)
     if target is None:
         return [], 0
+    weights, options, keep, packed = _plan(n, m)
     terms = [0] * m
     found = []
     count = 0
-    # Prefixes still to visit.  Each node's children are pushed in decreasing
-    # order, so the next one popped extends a prefix that terms[:depth - 1]
-    # still holds.
     binary = n == 2
-    packed = not binary and n < 8
-    if binary:
-        pending = [(0, 0, 0, 0)]
-    elif packed:
-        table, mask, one, high, root, pads, spans = _packed_walk(n, m)
-        pending = [(0, 0, 0, root)]
-    else:
-        pending = [(0, 0, [], [0] * n)]
     # sums[k]: the weighted sum of terms[:k]
-    weights = _sum_weights(n, m)
     sums = [0] * m
-    total = target * (n * (n - 1) // 2) % n
-    # options[k][p]: the terms, decreasing, that a length k prefix of weighted
-    # sum p may take next
-    every = range(n - 1, -1, -1)
-    last_terms = [[x for x in every if (p + m * x - total) % n == 0] for p in range(n)]
-    options = [[every] * n] * (m - 1) + [last_terms]
-    if m > 1:
-        w = weights[m - 2]
-        options[m - 2] = [[x for x in every if last_terms[(p + w * x) % n]] for p in range(n)]
-    for k, x in enumerate(prefix):
-        options[k] = [[x] if x in row else [] for row in options[k]]
     # whether the hits of the last node popped are each counted with a mirror
     mirror = False
+    # Prefixes still to visit.  Each node's children are pushed in decreasing
+    # order, so the next one popped extends a prefix that terms[:depth - 1]
+    # still holds.  New rows, not the plan's, allow prefix[k] alone at depth k.
     if binary:
-        # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree;
-        # keep[k][p]: options[k][p] as a mask, bit x for term x
+        keep = [[row & 1 << x for row in rows] for rows, x in zip(keep, prefix)] + keep[len(prefix):]
+        # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree
         edge = [0] * m
         tie = [True] * m
-        keep = [[sum(1 << x for x in row) for row in rows] for rows in options]
+        pending = [(0, 0, 0, 0)]
+    else:
+        options = [[[x] if x in row else [] for row in rows]
+                   for rows, x in zip(options, prefix)] + options[len(prefix):]
+        pending = [(0, 0, [], [0] * n)]
+    if packed:
+        table, mask, one, high, root, pads, spans = packed
+        pending = [(0, 0, 0, root)]
     while pending:
         depth, last, diagonal, tally = pending.pop()
         if depth:
             terms[depth - 1] = last
-        children = []
-        if binary:
-            if depth:
-                # the bottom entry of a prefix's triangle ends its diagonal and
-                # its left edge
+            if binary:
+                sums[depth] = sums[depth - 1] ^ (weights[depth - 1] & last)
+                # a prefix's bottom entry ends its diagonal and its left edge
                 edge[depth - 1] = diagonal >> (depth - 1)
                 tie[depth] = tie[depth - 1] and last == edge[depth - 1]
-                sums[depth] = sums[depth - 1] ^ (weights[depth - 1] & last)
+            else:
+                sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
+        children = []
+        if binary:
             shift = 1
             while shift < depth:
                 diagonal ^= diagonal << shift
@@ -305,8 +309,6 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
             if low <= tally0 <= target and allowed & 1:
                 children.append((depth + 1, 0, zero, tally0))
         elif packed:
-            if depth:
-                sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
             span = spans[depth]
             for x in options[depth][sums[depth]]:
                 h = tally + one[x]
@@ -321,8 +323,6 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
                 else:
                     children.append((depth + 1, x, out | pads[depth + 1], h))
         else:
-            if depth:
-                sums[depth] = (sums[depth - 1] + weights[depth - 1] * last) % n
             for x in options[depth][sums[depth]]:
                 if tally[x] == target:
                     continue

@@ -33,7 +33,7 @@ from steinhaus.orders import totient
 from steinhaus.search import (
     _blocks,
     _chunk_table,
-    _packed_walk,
+    _plan,
     _pool_size,
     _scan_block,
     _sum_weights,
@@ -375,14 +375,14 @@ def test_scan_block_first_hit_matches_odometer(case):
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 6, 7])
 def test_chunk_table_matches_an_entry_by_entry_walk(n):
-    # the chunk width c and count lane width w that _packed_walk picks, with
+    # the chunk width c and count lane width w of _plan's packed constants, with
     # one table per w shared by every length that has it
     b = n.bit_length()
     pad = (1 << b) - 1
     tables, widths = {}, []
     for m in range(1, 40):
         if is_admissible(n, m):
-            table, mask, _, high, *_ = _packed_walk(n, m)
+            table, mask, _, high, *_ = _plan(n, m)[3]
             c, w = mask.bit_length() // b, high.bit_length() // n
             widths.append(w)
             assert n << (b * c) < 4096 <= n << (b * (c + 1))
@@ -409,6 +409,33 @@ def test_chunk_table_matches_an_entry_by_entry_walk(n):
                     assert row is table[z], (w, y, lanes)
                     assert e == entries, (w, y, lanes)
                     assert counts == sum(k << (r * w) for r, k in enumerate(tally)), (w, y, lanes)
+
+
+# n = 8's least admissible length is 15, whose blocks take over a minute, so
+# (9, 8) stands for the list node
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 8), (3, 6), (4, 7), (5, 5), (6, 8), (7, 7), (9, 8)])
+def test_blocks_leave_the_plan_unchanged(n, m):
+    prefixes = [prefix for prefix, _ in _blocks(n, m, 2)]
+    forwards = [_scan_block(n, m, prefix, False) for prefix in prefixes]
+    backwards = [_scan_block(n, m, prefix, False) for prefix in reversed(prefixes)]
+    assert backwards[::-1] == forwards
+    weights, options, keep, packed = _plan(n, m)
+    _plan.cache_clear()
+    fresh = _plan(n, m)
+    assert (weights, options, keep) == fresh[:3]
+    if packed is None:
+        assert fresh[3] is None
+    else:
+        # the chunk table's rows refer to each other, so it is compared by identity
+        assert packed[0] is fresh[3][0]
+        assert packed[1:] == fresh[3][1:]
+
+
+def test_one_plan_per_search():
+    _plan.cache_clear()
+    brute_force_balanced(2, 8)
+    info = _plan.cache_info()
+    assert (info.misses, info.hits) == (1, len(_blocks(2, 8, 0)) - 1)
 
 
 @st.composite
