@@ -35,13 +35,17 @@ divisor of n, plus the all-zero sequence, and each block carries one unit
 per other first term y with gcd(y, n) = g, the one taking (0^j, g, ...)
 onto (0^j, y, ...) (see _blocks).  A count weights a block's hits by
 1 + its number of units, which is phi(n/g); a listing maps each block's hits
-by each of its units and sorts them all once.  With a worker pool the blocks
-are cut several times finer than the pool, so that uneven, pruned blocks
+by each of its units and sorts them all once.  With W workers the caller is
+one of the W processes and forks the other W - 1 from itself (see _split);
+no multiprocessing start method applies, and without os.fork the caller
+scans every block alone.  The blocks are then cut several times finer than
+W, and each process takes the next free one, so that uneven, pruned blocks
 still share out evenly; the hits are expanded and sorted after the blocks
 are merged, so the report is identical for any worker count.
 """
 
 import itertools
+import marshal
 import math
 import os
 from functools import cache, partial
@@ -52,15 +56,23 @@ from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence, is_balanced
 
-# A pool's blocks are cut until there are this many per worker.
+# With several workers the blocks are cut until there are this many per worker.
 _BLOCKS_PER_WORKER = 4
+
+# The most runs of blocks _split hands out: their 2-byte indices fill half of
+# the smallest pipe buffer, one 4,096-byte page, so they are written at once.
+_RUNS = 1024
 
 # A packed chunk is the most lanes that keep its table under this many rows.
 _TABLE_ROWS = 4096
 
 
 class SearchBudget(_Value):
-    """Caps for an exhaustive search: total states and worker processes."""
+    """Caps for an exhaustive search: total states and worker processes.
+
+    The caller is one of the `workers` processes, and the others are forked
+    from it; without os.fork the caller searches alone, with the same report.
+    """
 
     __slots__ = ("max_states", "workers")
 
@@ -100,7 +112,10 @@ def _within_budget(n: int, m: int, max_states: int) -> bool:
 
 
 def _pool_size(workers: int, blocks: int) -> int:
-    """Processes worth starting: no more than asked for, CPUs, or blocks."""
+    """Processes worth scanning `blocks` blocks with: no more than asked for,
+    CPUs, or blocks, and 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(workers, os.cpu_count() or 1, blocks)
 
 
@@ -382,6 +397,77 @@ def _blocks(n: int, m: int, k: int):
     return blocks
 
 
+def _split(scan, prefixes, workers: int) -> list:
+    """[scan(p) for p in prefixes], shared by the caller and workers - 1
+    children forked from it.
+
+    The blocks are cut into at most _RUNS runs of consecutive ones, and each
+    run's index is written to one pipe before the fork, so that the write
+    needs no reader.  Each process reads the next index from that pipe when
+    it is free and scans the run.  A child only scans, sends {block index:
+    result} back with marshal on its own pipe and leaves through os._exit,
+    so it never returns into the caller's stack.  The caller reads each
+    child's pipe to EOF and reaps the child, which keeps its CPU time
+    counted, and raises RuntimeError if one failed.  Any exception in the
+    caller, KeyboardInterrupt included, kills and reaps every child first.
+    """
+    # imported here, as it costs about 1 ms and only a split needs it
+    import signal
+
+    blocks = len(prefixes)
+    runs = min(blocks, _RUNS)
+
+    def share():
+        done = {}
+        while record := os.read(tasks, 2):
+            r = int.from_bytes(record, "little")
+            for i in range(r * blocks // runs, (r + 1) * blocks // runs):
+                done[i] = scan(prefixes[i])
+        return done
+
+    tasks, feed = os.pipe()
+    owned = [tasks, feed]
+    children = {}
+    try:
+        os.write(feed, b"".join(r.to_bytes(2, "little") for r in range(runs)))
+        # feed: every read ends at EOF once the runs are taken
+        os.close(owned.pop())
+        for _ in range(workers - 1):
+            out, sink = os.pipe()
+            owned += (out, sink)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    with open(sink, "wb", closefd=False) as pipe:
+                        marshal.dump(share(), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            # sink: the child's is then the only write end, so EOF means it is done
+            os.close(owned.pop())
+            children[pid] = out
+        done = share()
+        for pid, out in list(children.items()):
+            with open(out, "rb", closefd=False) as pipe:
+                sent = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status:
+                raise RuntimeError(
+                    f"search worker {pid} failed with status {os.waitstatus_to_exitcode(status)}")
+            done.update(marshal.loads(sent))
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for fd in owned:
+            os.close(fd)
+    return [done[i] for i in range(blocks)]
+
+
 def _witness(n: int, m: int) -> tuple[int, ...] | None:
     """The first balanced sequence the count-only blocks lead to, if any."""
     for prefix, _ in _blocks(n, m, 0):
@@ -401,9 +487,11 @@ def brute_force_balanced(
     The search and its rules are described in the module docstring.  A
     length that is not admissible has no balanced sequence and is answered
     at once.  With more than one worker the blocks are cut at the least
-    length k, up to m, with n^k >= 4 * workers, and handed to a process
-    pool.  states_examined is n^m, the size of the space covered, however
-    much of it was pruned or skipped by symmetry.
+    length k, up to m, with n^k >= 4 * workers, and the caller scans them
+    beside workers - 1 processes forked from it (see _split); where os.fork
+    is missing the caller scans them alone.  states_examined is n^m, the
+    size of the space covered, however much of it was pruned or skipped by
+    symmetry.
     found is sorted lexicographically and is empty in count_only mode.
     """
     if n < 1 or m < 1:
@@ -417,19 +505,20 @@ def brute_force_balanced(
     states = n**m
     if not is_admissible(n, m):
         return SearchReport(n, m, (), 0, states)
+    # there are no more blocks than states
     workers = _pool_size(budget.workers, states)
     k = 0
     while workers > 1 and k < m and n**k < _BLOCKS_PER_WORKER * workers:
         k += 1
     prefixes, units = zip(*_blocks(n, m, k))
+    workers = _pool_size(workers, len(prefixes))
     scan = partial(_scan_block, n, m, count_only=count_only)
     if workers == 1:
         blocks = [scan(p) for p in prefixes]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(scan, prefixes))
+        # built before the fork, so that every process shares it
+        _plan(n, m)
+        blocks = _split(scan, prefixes, workers)
     count = sum((1 + len(us)) * c for us, (_, c) in zip(units, blocks))
     found = ()
     if not count_only:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from steinhaus import (
     multiplicities,
     triangle,
 )
+from steinhaus import search
 from steinhaus.progressions import _construction
 from steinhaus.orders import totient
 from steinhaus.search import (
@@ -146,18 +148,36 @@ def test_worker_count_does_not_change_report():
         assert parallel == serial
 
 
-def test_more_workers_than_prefixes():
+def test_more_workers_than_prefixes(monkeypatch):
     serial = brute_force_balanced(2, 3)
     parallel = brute_force_balanced(2, 3, budget=SearchBudget(workers=16))
     assert parallel == serial
+    # (3, 2) cuts 5 blocks at 8 workers, so the caller forks 4 children, not 7
+    fork, forks = os.fork, []
+
+    def counted():
+        pid = fork()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", counted)
+    assert brute_force_balanced(3, 2, SearchBudget(workers=8)) == brute_force_balanced(3, 2)
+    assert len(forks) == 4
 
 
-def test_pool_size_is_clamped():
+def test_pool_size_is_clamped(monkeypatch):
     cpus = os.cpu_count() or 1
     assert _pool_size(1, 10**6) == 1
     assert _pool_size(100000, 10**6) == cpus
     assert _pool_size(100000, 1) == 1
     assert _pool_size(10**18, 10**18) == cpus
+    # without os.fork the caller scans alone, with the same report
+    serial = brute_force_balanced(3, 8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert _pool_size(4, 10**6) == 1
+    assert brute_force_balanced(3, 8, SearchBudget(workers=4)) == serial
 
 
 def test_pool_size_follows_cpu_count(monkeypatch):
@@ -288,12 +308,95 @@ if __name__ == "__main__":
 
 
 def test_pool_blocks_survive_spawn():
-    # spawn (and forkserver) workers receive their blocks pickled
+    # the workers are forked whatever multiprocessing's start method says
     proc = subprocess.run(
         [sys.executable, "-c", SPAWN_CHILD], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_raises_when_a_worker_fails(monkeypatch):
+    caller, scan = os.getpid(), search._scan_block
+
+    def failing(*args, **kwargs):
+        if os.getpid() != caller:
+            raise ValueError("worker")
+        # slow enough that the worker takes blocks too
+        time.sleep(0.01)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(search, "_scan_block", failing)
+    with pytest.raises(RuntimeError):
+        brute_force_balanced(3, 8, SearchBudget(workers=2), count_only=True)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_split_kills_the_workers_when_the_caller_fails(monkeypatch, error):
+    caller = os.getpid()
+
+    def failing(*args, **kwargs):
+        if os.getpid() == caller:
+            raise error("caller")
+        # a worker would outlast the test unless killed
+        time.sleep(60)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(search, "_scan_block", failing)
+    start = time.monotonic()
+    with pytest.raises(error, match="caller"):
+        brute_force_balanced(3, 8, SearchBudget(workers=4), count_only=True)
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+SPLIT_CHILD = """
+import os
+from steinhaus import SearchBudget, brute_force_balanced, search
+
+os.cpu_count = lambda: 2
+search._BLOCKS_PER_WORKER = 30000
+split, cuts = search._split, []
+
+def counted(scan, prefixes, workers):
+    cuts.append(len(prefixes))
+    return split(scan, prefixes, workers)
+
+search._split = counted
+for count_only in (True, False):
+    serial = brute_force_balanced(2, 16, count_only=count_only)
+    assert brute_force_balanced(2, 16, SearchBudget(workers=2), count_only=count_only) == serial
+assert min(cuts) > 60000, cuts
+print("ok")
+"""
+
+
+def test_split_hands_out_more_blocks_than_a_pipe_holds():
+    # 65,536 blocks, in runs of 64, so their indices fit one pipe buffer
+    proc = subprocess.run(
+        [sys.executable, "-c", SPLIT_CHILD], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (2, 12), (3, 9), (4, 8), (6, 8), (7, 7), (9, 8)])
+def test_split_matches_the_serial_walk(monkeypatch, n, m):
+    # more processes than this machine may have CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for count_only in (True, False):
+        serial = brute_force_balanced(n, m, count_only=count_only)
+        for workers in (2, 3, 4):
+            budget = SearchBudget(workers=workers)
+            assert brute_force_balanced(n, m, budget, count_only=count_only) == serial, workers
+    assert_no_child_left()
 
 
 @st.composite
