@@ -444,9 +444,9 @@ def _split(scan, prefixes, workers: int) -> list:
                     status = 0
                 finally:
                     os._exit(status)
+            children[pid] = out
             # sink: the child's is then the only write end, so EOF means it is done
             os.close(owned.pop())
-            children[pid] = out
         done = share()
         for pid, out in list(children.items()):
             with open(out, "rb", closefd=False) as pipe:
