@@ -23,7 +23,7 @@ _MODULE_OF = {
     for module, names in [
         ("admissible", "AdmissibleClasses admissible_classes coverage_fraction is_admissible"),
         ("errors", "BudgetExceeded DEFAULT_MAX_STATES EvenModulus IndexOutOfRange LengthTooShort"
-                   " NotADivisor NotCoprime NotInvertible SteinhausError UnsupportedLength"),
+                   " NotADivisor NotCoprime NotInvertible SteinhausError UnsupportedLength UsageError"),
         ("orders", "alpha beta factorize invert omega radical"),
         ("progressions", "ArithmeticProgression construct_balanced primitive_progression"),
         ("search", "SearchBudget SearchReport brute_force_balanced classify_even_progressions"

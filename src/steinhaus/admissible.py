@@ -10,7 +10,7 @@ import itertools
 import math
 
 from ._value import _set, _Value
-from .errors import EvenModulus
+from .errors import EvenModulus, UsageError, _positive
 from .orders import beta, factorize, omega
 
 
@@ -20,10 +20,9 @@ class AdmissibleClasses(_Value):
     __slots__ = ("period", "residues")
 
     def __init__(self, period: int, residues: tuple[int, ...]):
-        if period < 1:
-            raise ValueError(f"period must be positive, got {period}")
+        _positive("period", period)
         if not all(0 <= r < s for r, s in zip(residues, (*residues[1:], period))):
-            raise ValueError(f"residues must be strictly increasing within 0..{period - 1}")
+            raise UsageError(f"residues must be strictly increasing within 0..{period - 1}")
         _set(self, "period", period)
         _set(self, "residues", residues)
 
@@ -46,8 +45,7 @@ def admissible_classes(n: int) -> AdmissibleClasses:
     The period is n for odd n and 2n for even n, and there are exactly
     2^omega(n) classes, always including 0 and period - 1.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     moduli = [p ** (e + 1) if p == 2 else p ** e for p, e in factorize(n)]
     period = math.prod(moduli)
     # With P the period, e_q = (P/q)((P/q)^-1 mod q) is 1 mod q and 0 mod the
@@ -68,8 +66,8 @@ def _target(n: int, m: int) -> int | None:
 
 def is_admissible(n: int, m: int) -> bool:
     """Whether n divides the triangle entry count m(m+1)/2."""
-    if n < 1 or m < 1:
-        raise ValueError("modulus and length must be positive")
+    _positive("modulus", n)
+    _positive("length", m)
     return _target(n, m) is not None
 
 
@@ -83,5 +81,5 @@ def coverage_fraction(n: int):
     if n % 2 == 0:
         raise EvenModulus(f"coverage applies to odd moduli, got {n}")
     if n < 3:
-        raise ValueError("coverage is defined for odd n >= 3")
+        raise UsageError("coverage is defined for odd n >= 3")
     return Fraction(1, 2 ** (omega(n) - 1) * beta(n))

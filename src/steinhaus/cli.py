@@ -2,10 +2,10 @@
 
 One subcommand per library area, each a row of the command table below.
 Output goes to stdout as text (default) or JSON (--format json); JSON field
-names are stable for scripting.  Exit status: 0 on success, 1 on usage
-errors, 2 on domain errors, whose class name appears in the diagnostic, 3 on
-internal errors, with the traceback on stderr, and 141 (128 + SIGPIPE) when
-stdout is closed before the output is written.
+names are stable for scripting.  Exit status: 0 on success, 1 on a
+UsageError (a bad argument), 2 on domain errors, whose class name appears in
+the diagnostic, 3 on any other exception, with the traceback on stderr, and
+141 (128 + SIGPIPE) when stdout is closed before the output is written.
 
 Each call is a fresh process, so start-up counts.  A handler imports the
 library module it runs when it is called, json is imported only for JSON
@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .errors import DEFAULT_MAX_STATES, BudgetExceeded, SteinhausError
+from .errors import DEFAULT_MAX_STATES, BudgetExceeded, SteinhausError, UsageError, _positive
 from .orders import alpha, beta
 
 MAX_STATES_ENV = "STEINHAUS_MAX_STATES"
@@ -27,7 +27,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage, but 2 is reserved for domain
     # errors here, so usage problems are raised for run() as bad input.
     def error(self, message):
-        raise ValueError(message)
+        raise UsageError(message)
 
 
 def render_triangle(t) -> str:
@@ -43,13 +43,15 @@ def _csv(values) -> str:
 def _max_states(args) -> int:
     """--max-states where the command has it, else $STEINHAUS_MAX_STATES, else the default.
 
-    A cap below 1 is bad usage, refused as SearchBudget refuses it.
+    A cap that is not an integer, or is below 1, is bad usage.
     """
     max_states = getattr(args, "max_states", None)
     if max_states is None:
-        max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
-    if max_states < 1:
-        raise ValueError(f"max_states must be positive, got {max_states}")
+        try:
+            max_states = int(os.environ.get(MAX_STATES_ENV, DEFAULT_MAX_STATES))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    _positive("max_states", max_states)
     return max_states
 
 
@@ -240,7 +242,7 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload, text = args.handler(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SteinhausError as exc:

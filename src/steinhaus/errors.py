@@ -1,8 +1,26 @@
-"""Domain errors raised across the library.
+"""Domain errors raised across the library, and the one usage error.
 
-The CLI reports these by class name and exits with status 2, so the names
-are part of the external contract.
+The CLI reports a domain error by class name and exits with status 2, so the
+names are part of the external contract.  UsageError, the one non-domain
+error, is a ValueError for an argument the library refuses; the CLI reports
+it as a usage error with status 1.  _positive and _residues state the two
+argument rules every module checks.
 """
+
+
+class UsageError(ValueError):
+    """An argument the library refuses: bad usage, not a domain result."""
+
+
+def _positive(name: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{name} must be positive, got {value}")
+
+
+def _residues(values, n: int) -> None:
+    for t in values:
+        if not 0 <= t < n:
+            raise UsageError(f"{t} is not a residue mod {n}")
 
 
 class SteinhausError(Exception):

@@ -10,7 +10,7 @@ beta(n)*n.
 from functools import lru_cache
 from math import gcd
 
-from .errors import BudgetExceeded, EvenModulus, NotCoprime
+from .errors import BudgetExceeded, EvenModulus, NotCoprime, _positive
 
 
 # Trial division stops here: about 5 * 10^5 divisions, so every n <= 10^12
@@ -23,8 +23,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
     Raises BudgetExceeded once trial division passes _MAX_TRIAL_DIVISOR.
     """
-    if n < 1:
-        raise ValueError(f"need a positive integer, got {n}")
+    _positive("n", n)
     out = []
     rest = n
     p = 2
@@ -68,8 +67,7 @@ def totient(n: int) -> int:
 
 def invert(a: int, n: int) -> int:
     """Inverse of a mod n, for gcd(a, n) = 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     try:
         return pow(a, -1, n)
     except ValueError:
@@ -82,8 +80,7 @@ def multiplicative_order(a: int, n: int) -> int:
     The order divides phi(n), so it is phi(n) with every prime q taken out
     for as long as a^(e/q) = 1 mod n still holds.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     a %= n
     if gcd(a, n) != 1:
         raise NotCoprime(f"{a} is not a unit mod {n}")
@@ -97,8 +94,7 @@ def multiplicative_order(a: int, n: int) -> int:
 @lru_cache(maxsize=None)
 def alpha(n: int) -> int:
     """Least e >= 1 with 2^(e*n) = 1 mod n, for odd n.  alpha(1) = 1."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     if n % 2 == 0:
         raise EvenModulus(f"alpha is defined for odd moduli, got {n}")
     return multiplicative_order(pow(2, n, n), n)
@@ -111,8 +107,7 @@ def beta(n: int) -> int:
     2^n has order a = alpha(n) mod n, and -1 is the only element of order 2 in
     the group it generates, so beta(n) = a/2 if 2^(n*a/2) = -1 mod n, else a.
     """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     if n % 2 == 0:
         raise EvenModulus(f"beta is defined for odd moduli, got {n}")
     a = alpha(n)

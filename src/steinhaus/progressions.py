@@ -10,7 +10,8 @@ from math import gcd
 
 from ._value import _set, _Value
 from .admissible import _target
-from .errors import EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength
+from .errors import (EvenModulus, IndexOutOfRange, NotInvertible, UnsupportedLength, UsageError,
+                     _positive, _residues)
 from .orders import alpha, beta
 from .sequences import MultiplicityVector, Sequence, _progression_tally
 
@@ -24,13 +25,9 @@ class ArithmeticProgression(_Value):
     __match_args__ = ("modulus", "start", "step", "length")
 
     def __init__(self, modulus: int, start: int, step: int, length: int):
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        if length < 1:
-            raise ValueError(f"length must be positive, got {length}")
-        for value in (start, step):
-            if not 0 <= value < modulus:
-                raise ValueError(f"{value} is not a residue mod {modulus}")
+        _positive("modulus", modulus)
+        _positive("length", length)
+        _residues((start, step), modulus)
         _set(self, "modulus", modulus)
         _set(self, "start", start)
         _set(self, "step", step)
@@ -127,18 +124,16 @@ def _construction(
     n: int, m: int, step: int, family: str, start: int | None
 ) -> ArithmeticProgression:
     """The progression behind `construct_balanced`, with the same checks."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
+    _positive("modulus", n)
     if n % 2 == 0:
         raise EvenModulus(f"the constructions require an odd modulus, got {n}")
-    if m < 1:
-        raise ValueError(f"length must be positive, got {m}")
+    _positive("length", m)
     step %= n
     if gcd(step, n) != 1:
         raise NotInvertible(f"step {step} shares a factor with {n}")
     if family == "beta":
         if start is not None:
-            raise ValueError("the beta family fixes the start; do not pass one")
+            raise UsageError("the beta family fixes the start; do not pass one")
         span = beta(n) * n
         inv2 = (n + 1) // 2
         if m % span == 0:
@@ -151,4 +146,4 @@ def _construction(
         if m % span != 0 and (m + 1) % span != 0:
             raise UnsupportedLength(f"alpha family needs m = 0 or -1 mod {span}, got m = {m}")
         return ArithmeticProgression(n, 0 if start is None else start % n, step, m)
-    raise ValueError(f"unknown family {family!r}, expected 'beta' or 'alpha'")
+    raise UsageError(f"unknown family {family!r}, expected 'beta' or 'alpha'")

@@ -52,7 +52,7 @@ from functools import cache, partial
 
 from ._value import _set, _Value
 from .admissible import _target, admissible_classes, is_admissible
-from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength
+from .errors import DEFAULT_MAX_STATES, BudgetExceeded, UnsupportedLength, UsageError, _positive
 from .progressions import ArithmeticProgression, _construction
 from .sequences import Sequence, is_balanced
 
@@ -77,10 +77,8 @@ class SearchBudget(_Value):
     __slots__ = ("max_states", "workers")
 
     def __init__(self, max_states: int = DEFAULT_MAX_STATES, workers: int = 1):
-        if max_states < 1:
-            raise ValueError(f"max_states must be positive, got {max_states}")
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
+        _positive("max_states", max_states)
+        _positive("workers", workers)
         _set(self, "max_states", max_states)
         _set(self, "workers", workers)
 
@@ -172,22 +170,21 @@ def _chunk_table(n: int, c: int, w: int):
 
 @cache
 def _plan(n: int, m: int):
-    """(weights, options, keep, packed): what a search of length m mod n needs
-    of n and m alone, built once for all its blocks (see _scan_block).
+    """(weights, options, packed): what a search of length m mod n needs of
+    n and m alone, built once for all its blocks (see _scan_block).
 
     weights is _sum_weights(n, m) and options[k][p] the terms, decreasing,
     that a length k prefix of weighted sum p may take by the sum rule; for
-    n = 2 keep[k][p] is that row as a mask, bit x for term x, else None.
-    packed is None but for n = 1 and 3 <= n <= 7: (table, mask, one, high,
-    root, pads, spans), the packed node's constants.  A chunk is c lanes of
-    b = n.bit_length() bits, c the most with n 2^(bc) < _TABLE_ROWS table
-    rows.  A count lane is w = (target + c + 1).bit_length() + 1 bits and
-    starts at the bias 2^(w-1) - 1 - target, so its top bit is set past
-    target, with room for the c + 1 a child adds.  table is
-    _chunk_table(n, c, w), one[x] is 1 in residue x's lane, high the top
-    bit of every lane and root the empty tally; pads[k] is the pad code in
-    lanes k up to the next multiple of c, and spans[k] the bit offsets of a
-    depth k diagonal's chunks.
+    n = 2 it is their mask, bit x for term x.  packed is None but for n = 1
+    and 3 <= n <= 7: (table, mask, one, high, root, pads, spans), the packed
+    node's constants.  A chunk is c lanes of b = n.bit_length() bits, c the
+    most with n 2^(bc) < _TABLE_ROWS table rows.  A count lane is
+    w = (target + c + 1).bit_length() + 1 bits and starts at the bias
+    2^(w-1) - 1 - target, so its top bit is set past target, with room for
+    the c + 1 a child adds.  table is _chunk_table(n, c, w), one[x] is 1 in
+    residue x's lane, high the top bit of every lane and root the empty
+    tally; pads[k] is the pad code in lanes k up to the next multiple of c,
+    and spans[k] the bit offsets of a depth k diagonal's chunks.
     """
     target = _target(n, m)
     weights = _sum_weights(n, m)
@@ -198,9 +195,9 @@ def _plan(n: int, m: int):
     if m > 1:
         v = weights[m - 2]
         options[m - 2] = [[x for x in every if last_terms[(p + v * x) % n]] for p in range(n)]
-    keep = packed = None
+    packed = None
     if n == 2:
-        keep = [[sum(1 << x for x in row) for row in rows] for rows in options]
+        options = [[sum(1 << x for x in row) for row in rows] for rows in options]
     elif n < 8:
         b = n.bit_length()
         c = 1
@@ -216,7 +213,7 @@ def _plan(n: int, m: int):
         lanes = sum(one)
         packed = (_chunk_table(n, c, w), (1 << (b * c)) - 1, one, lanes << (w - 1),
                   lanes * ((1 << (w - 1)) - 1 - target), pads, spans)
-    return weights, options, keep, packed
+    return weights, options, packed
 
 
 def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = False):
@@ -229,9 +226,9 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     diagonal x, x + d_1, x + d_1 + d_2, ... (mod n) to its triangle; a child
     that pushes a residue count past target is pruned with its subtree, so
     a length m - 1 prefix's children are its balanced completions.  The
-    terms a child may take come from _plan(n, m): options[k][p], or for
-    n = 2 the mask keep[k][p], for a length k prefix of weighted sum p (kept
-    in `sums`).  A block only reads the plan, and takes new rows for depth
+    terms a child may take come from one table of _plan(n, m), options[k][p]
+    for a length k prefix of weighted sum p (kept in `sums`), a mask for
+    n = 2.  A block only reads the plan, and takes new rows for depth
     k < len(prefix) that allow prefix[k] alone.  n = 2 also follows the
     mirror rule (see the module docstring).  The node has one of three
     forms, chosen by n:
@@ -265,7 +262,7 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     target = _target(n, m)
     if target is None:
         return [], 0
-    weights, options, keep, packed = _plan(n, m)
+    weights, options, packed = _plan(n, m)
     terms = [0] * m
     found = []
     count = 0
@@ -274,18 +271,19 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     sums = [0] * m
     # whether the hits of the last node popped are each counted with a mirror
     mirror = False
+    # New rows, not the plan's, allow prefix[k] alone at depth k.
+    only = (lambda row, x: row & 1 << x) if binary else (lambda row, x: [x] if x in row else [])
+    head = [[only(row, x) for row in rows] for rows, x in zip(options, prefix)]
+    options = head + options[len(head):]
     # Prefixes still to visit.  Each node's children are pushed in decreasing
     # order, so the next one popped extends a prefix that terms[:depth - 1]
-    # still holds.  New rows, not the plan's, allow prefix[k] alone at depth k.
+    # still holds.
     if binary:
-        keep = [[row & 1 << x for row in rows] for rows, x in zip(keep, prefix)] + keep[len(prefix):]
         # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree
         edge = [0] * m
         tie = [True] * m
         pending = [(0, 0, 0, 0)]
     else:
-        options = [[[x] if x in row else [] for row in rows]
-                   for rows, x in zip(options, prefix)] + options[len(prefix):]
         pending = [(0, 0, [], [0] * n)]
     if packed:
         table, mask, one, high, root, pads, spans = packed
@@ -313,7 +311,7 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
             flip = zero >> depth
             tied = tie[depth]
             mirror = flip or not tied
-            allowed = keep[depth][sums[depth]]
+            allowed = options[depth][sums[depth]]
             tally0 = tally + zero.bit_count()
             tally1 = 2 * tally + depth + 1 - tally0
             # a child keeps at most target ones and at most target zeros, and
@@ -494,8 +492,8 @@ def brute_force_balanced(
     symmetry.
     found is sorted lexicographically and is empty in count_only mode.
     """
-    if n < 1 or m < 1:
-        raise ValueError("modulus and length must be positive")
+    _positive("modulus", n)
+    _positive("length", m)
     if budget is None:
         budget = SearchBudget()
     if not _within_budget(n, m, budget.max_states):
@@ -556,9 +554,8 @@ def classify_even_progressions(
     cannot factor.
     """
     if n < 2 or n % 2:
-        raise ValueError(f"classification applies to even moduli, got {n}")
-    if max_length < 1:
-        raise ValueError(f"max_length must be positive, got {max_length}")
+        raise UsageError(f"classification applies to even moduli, got {n}")
+    _positive("max_length", max_length)
     classes = admissible_classes(n)
     if budget is not None:
         cost = 0
@@ -592,7 +589,7 @@ def molluzzo_probe(n: int, m: int, budget: SearchBudget | None = None) -> bool:
     question.
     """
     if not is_admissible(n, m):
-        raise ValueError(
+        raise UsageError(
             f"length {m} is not admissible mod {n}: {n} does not divide {m}*{m + 1}/2"
         )
     if budget is None:

@@ -59,7 +59,7 @@ from math import gcd
 
 from ._value import _set, _Value
 from .admissible import _target
-from .errors import IndexOutOfRange, LengthTooShort, NotADivisor
+from .errors import IndexOutOfRange, LengthTooShort, NotADivisor, UsageError, _positive, _residues
 
 
 class Sequence(_Value):
@@ -68,23 +68,19 @@ class Sequence(_Value):
     __slots__ = ("modulus", "terms")
 
     def __init__(self, modulus: int, terms: tuple[int, ...]):
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        _positive("modulus", modulus)
         if not isinstance(terms, tuple):
             terms = tuple(terms)
         if not terms:
-            raise ValueError("a sequence needs at least one term")
-        for t in terms:
-            if not 0 <= t < modulus:
-                raise ValueError(f"{t} is not a residue mod {modulus}")
+            raise UsageError("a sequence needs at least one term")
+        _residues(terms, modulus)
         _set(self, "modulus", modulus)
         _set(self, "terms", terms)
 
     @classmethod
     def reduce(cls, modulus: int, values) -> "Sequence":
         """Build a sequence by reducing arbitrary integers mod `modulus`."""
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
+        _positive("modulus", modulus)
         return cls(modulus, tuple(v % modulus for v in values))
 
     @classmethod
@@ -93,7 +89,7 @@ class Sequence(_Value):
         try:
             values = [int(part) for part in text.split(",")]
         except ValueError:
-            raise ValueError(f"not a comma-separated integer sequence: {text!r}") from None
+            raise UsageError(f"not a comma-separated integer sequence: {text!r}") from None
         return cls.reduce(modulus, values)
 
     @classmethod
@@ -130,18 +126,18 @@ class Triangle(_Value):
 
     def __init__(self, rows: tuple[Sequence, ...]):
         if not rows:
-            raise ValueError("a triangle needs at least one row")
+            raise UsageError("a triangle needs at least one row")
         n = rows[0].modulus
         for k, row in enumerate(rows):
             if row.modulus != n:
-                raise ValueError("rows mix moduli")
+                raise UsageError("rows mix moduli")
             if len(row) != len(rows[0]) - k:
-                raise ValueError("row lengths must shrink by one per row")
+                raise UsageError("row lengths must shrink by one per row")
         if len(rows[-1]) != 1:
-            raise ValueError("the last row must be a single entry")
+            raise UsageError("the last row must be a single entry")
         for k, (derived, row) in enumerate(zip(_rows(rows[0].terms, n), rows)):
             if tuple(derived) != row.terms:
-                raise ValueError(f"row {k + 1} is not the derived row of row {k}")
+                raise UsageError(f"row {k + 1} is not the derived row of row {k}")
         _set(self, "_top", rows[0])
         _set(self, "_built", rows)
 
@@ -215,7 +211,7 @@ class MultiplicityVector(_Value):
 
     def __init__(self, modulus: int, counts: tuple[int, ...]):
         if len(counts) != modulus:
-            raise ValueError("need exactly one count per residue")
+            raise UsageError("need exactly one count per residue")
         _set(self, "modulus", modulus)
         _set(self, "counts", counts)
 
@@ -429,9 +425,7 @@ def balanced_terms(terms, n: int) -> bool:
     counts, each at most that, sum to n times it, so all are equal.  Its
     callers are `is_balanced` and the test oracle of the search.
     """
-    for t in terms:
-        if not 0 <= t < n:
-            raise ValueError(f"{t} is not a residue mod {n}")
+    _residues(terms, n)
     target = _target(n, len(terms))
     if target is None:
         return False

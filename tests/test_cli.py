@@ -1,14 +1,17 @@
 """Tests for the command line interface: output formats and exit codes."""
 
+import ast
 import json
 import random
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from row_oracle import oracle_rows
 
+import steinhaus
 from steinhaus import admissible_classes, alpha, brute_force_balanced, is_admissible
 from steinhaus.cli import run
 
@@ -210,15 +213,29 @@ def test_construct_long_progression_json(capsys):
     assert len(payload["seq"]) == 99999
 
 
-def test_internal_errors_exit_three(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_internal_errors_exit_three(capsys, monkeypatch, error):
+    # a plain ValueError is a bug too: only a UsageError is bad usage
     def broken(n):
-        raise RuntimeError("internal fault")
+        raise error("internal fault")
 
     monkeypatch.setattr("steinhaus.cli.alpha", broken)
     code, out, err = invoke(capsys, "alpha", "--n", "3")
     assert code == 3
     assert out == ""
-    assert "Traceback" in err and "RuntimeError: internal fault" in err
+    assert "Traceback" in err and f"{error.__name__}: internal fault" in err
+
+
+def test_the_library_raises_no_plain_value_error():
+    # run() reports a UsageError alone as bad usage, so a `raise ValueError`
+    # in the package would be a usage path that exits 3
+    package = Path(steinhaus.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "ValueError"), (
+                    f"{path.name}:{node.lineno} raises ValueError, not UsageError")
 
 
 def test_state_cap_environment_variable(capsys, monkeypatch):
@@ -236,8 +253,8 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     assert "BudgetExceeded" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-1"])
-@pytest.mark.parametrize("argv", [
+# One call of each command that reads the state cap.
+_CAPPED = [
     ("search", "--n", "2", "--m", "4"),
     ("probe", "--n", "5", "--m", "4"),
     ("classify-even", "--n", "4", "--max-m", "8"),
@@ -246,7 +263,11 @@ def test_state_cap_environment_variable(capsys, monkeypatch):
     ("derive", "--n", "3", "--seq", "1,2,0"),
     ("construct", "--n", "3", "--m", "3"),
     ("admissible", "--n", "3", "--max", "10"),
-])
+]
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", _CAPPED)
 def test_a_state_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
     monkeypatch.setenv("STEINHAUS_MAX_STATES", cap)
     code, out, err = invoke(capsys, *argv)
@@ -255,6 +276,15 @@ def test_a_state_cap_below_one_is_a_usage_error(capsys, monkeypatch, argv, cap):
     if argv[0] in ("search", "probe"):
         monkeypatch.delenv("STEINHAUS_MAX_STATES")
         assert invoke(capsys, *argv, "--max-states", cap) == (1, "", err)
+
+
+@pytest.mark.parametrize("cap", ["abc", ""])
+@pytest.mark.parametrize("argv", _CAPPED)
+def test_a_state_cap_that_is_no_integer_is_a_usage_error(capsys, monkeypatch, argv, cap):
+    monkeypatch.setenv("STEINHAUS_MAX_STATES", cap)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: invalid literal for int() with base 10: {cap!r}\n"
 
 
 @pytest.mark.parametrize("command", ["triangle", "balanced"])

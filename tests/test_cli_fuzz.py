@@ -1,7 +1,8 @@
 """Fuzz the command line with small, often malformed, argument lists.
 
-Whatever the flags, a call exits 0 (success), 1 (bad input) or 2 (domain
-error), prints no traceback and returns quickly.  Exit 3, an internal error,
+Whatever the flags and the state cap in the environment, a call exits 0
+(success), 1 (bad input) or 2 (domain error), prints no traceback and returns
+quickly.  Exit 3, an internal error,
 means a bug.  Each subcommand imports its library module when it runs, so
 these calls also cover every handler's deferred import.
 """
@@ -22,6 +23,8 @@ _INT = st.integers(-20, 20)
 _N = st.sampled_from([*range(1, 17), 0, -2])
 _M = st.sampled_from([*range(1, 9), 0, -1])
 _MAX_STATES = st.integers(-1, 10**4)
+# The state cap that applies when --max-states is not given, malformed now and then.
+_ENV_CAP = st.sampled_from(["10000", "0", "-3", "abc", ""])
 _SEQ = st.one_of(
     st.lists(st.integers(-40, 40), min_size=1, max_size=12).map(lambda ts: ",".join(map(str, ts))),
     st.sampled_from(["", "1,,2", "x", " 3, 4", "1.5", "-"]),
@@ -78,11 +81,10 @@ def argvs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(argvs())
-def test_any_argv_exits_cleanly(argv):
+@given(argvs(), _ENV_CAP)
+def test_any_argv_exits_cleanly(argv, cap):
     out, err = io.StringIO(), io.StringIO()
-    # The state cap that applies when --max-states is not given.
-    with mock.patch.dict(os.environ, {MAX_STATES_ENV: "10000"}):
+    with mock.patch.dict(os.environ, {MAX_STATES_ENV: cap}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             start = time.perf_counter()
             code = run(argv)

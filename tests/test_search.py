@@ -485,7 +485,7 @@ def test_chunk_table_matches_an_entry_by_entry_walk(n):
     tables, widths = {}, []
     for m in range(1, 40):
         if is_admissible(n, m):
-            table, mask, _, high, *_ = _plan(n, m)[3]
+            table, mask, _, high, *_ = _plan(n, m)[2]
             c, w = mask.bit_length() // b, high.bit_length() // n
             widths.append(w)
             assert n << (b * c) < 4096 <= n << (b * (c + 1))
@@ -522,16 +522,16 @@ def test_blocks_leave_the_plan_unchanged(n, m):
     forwards = [_scan_block(n, m, prefix, False) for prefix in prefixes]
     backwards = [_scan_block(n, m, prefix, False) for prefix in reversed(prefixes)]
     assert backwards[::-1] == forwards
-    weights, options, keep, packed = _plan(n, m)
+    weights, options, packed = _plan(n, m)
     _plan.cache_clear()
     fresh = _plan(n, m)
-    assert (weights, options, keep) == fresh[:3]
+    assert (weights, options) == fresh[:2]
     if packed is None:
-        assert fresh[3] is None
+        assert fresh[2] is None
     else:
         # the chunk table's rows refer to each other, so it is compared by identity
-        assert packed[0] is fresh[3][0]
-        assert packed[1:] == fresh[3][1:]
+        assert packed[0] is fresh[2][0]
+        assert packed[1:] == fresh[2][1:]
 
 
 def test_one_plan_per_search():

@@ -73,7 +73,7 @@ def test_package_namespace_names():
     namespace = {}
     exec("from steinhaus import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(steinhaus.__all__)
-    assert len(steinhaus.__all__) == len(set(steinhaus.__all__)) == 40
+    assert len(steinhaus.__all__) == len(set(steinhaus.__all__)) == 41
     assert set(steinhaus.__all__) <= set(dir(steinhaus))
     assert steinhaus.DEFAULT_MAX_STATES is steinhaus.search.DEFAULT_MAX_STATES
     assert steinhaus.orders.alpha is steinhaus.alpha

@@ -21,6 +21,7 @@ from steinhaus import (
     SearchReport,
     Sequence,
     Triangle,
+    UsageError,
 )
 
 _S12 = Sequence(3, (1, 2))
@@ -206,6 +207,6 @@ def test_sequence_converts_terms_to_a_tuple():
     (lambda: SearchBudget(workers=0), "workers must be positive, got 0"),
 ])
 def test_validation_messages(build, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(UsageError) as info:
         build()
     assert str(info.value) == message
