@@ -271,20 +271,19 @@ def _scan_block(n: int, m: int, prefix, count_only: bool, first_hit: bool = Fals
     sums = [0] * m
     # whether the hits of the last node popped are each counted with a mirror
     mirror = False
-    # New rows, not the plan's, allow prefix[k] alone at depth k.
-    only = (lambda row, x: row & 1 << x) if binary else (lambda row, x: [x] if x in row else [])
-    head = [[only(row, x) for row in rows] for rows, x in zip(options, prefix)]
-    options = head + options[len(head):]
     # Prefixes still to visit.  Each node's children are pushed in decreasing
     # order, so the next one popped extends a prefix that terms[:depth - 1]
-    # still holds.
+    # still holds.  New rows, not the plan's, allow prefix[k] alone at depth k.
     if binary:
+        head = [[row & 1 << x for row in rows] for rows, x in zip(options, prefix)]
         # edge[:k]: the left edge of terms[:k]; tie[k]: whether the two agree
         edge = [0] * m
         tie = [True] * m
         pending = [(0, 0, 0, 0)]
     else:
+        head = [[[x] if x in row else [] for row in rows] for rows, x in zip(options, prefix)]
         pending = [(0, 0, [], [0] * n)]
+    options = head + options[len(head):]
     if packed:
         table, mask, one, high, root, pads, spans = packed
         pending = [(0, 0, 0, root)]
